@@ -27,7 +27,7 @@
 //	    run the prediction service: POST /v1/predict and
 //	    /v1/predict/batch, model registry with canary-validated
 //	    hot-swap reload (/v1/reload, gated by -canary-set/-reload-slo),
-//	    prediction cache, hedged dispatch with per-version circuit
+//	    prediction cache, inline miss inference with per-version circuit
 //	    breakers, Prometheus /metrics; -chaos-serve arms the serve-path
 //	    fault injector behind /v1/chaos; -debug-addr exposes the debug
 //	    surface (/debug/pprof, /debug/traces) on a second address and
@@ -112,10 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaosSeed := fs.Int64("chaos-seed", 42, "deterministic seed for -chaos fault injection")
 	addr := fs.String("addr", "127.0.0.1:8080", "serve: listen address")
 	cacheSize := fs.Int("cache-size", 4096, "serve: prediction cache capacity")
-	workers := fs.Int("workers", 4, "serve: batch worker pool size")
-	maxBatch := fs.Int("max-batch", 64, "serve: micro-batch size bound")
-	maxWait := fs.Duration("max-wait", 2*time.Millisecond, "serve: micro-batch deadline bound")
-	queueSize := fs.Int("queue", 1024, "serve: bounded request queue capacity")
+	queueSize := fs.Int("queue", 1024, "serve: cache misses answered concurrently; more are shed with 503")
 	canarySet := fs.String("canary-set", "", "serve: golden-set JSON file gating /v1/reload (empty: record one from the default model at startup)")
 	reloadSLO := fs.Duration("reload-slo", 10*time.Millisecond, "serve: per-prediction canary latency budget for /v1/reload (0 disables)")
 	chaosServe := fs.Bool("chaos-serve", false, "serve: enable the serve-path chaos injector and /v1/chaos endpoint")
@@ -125,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	probeInterval := fs.Duration("probe-interval", 250*time.Millisecond, "serve router: peer health-probe cadence")
 	hedgeAfter := fs.Duration("hedge-after", 25*time.Millisecond, "serve router: how long the primary may take before hedging against the replica")
 	drainGrace := fs.Duration("drain-grace", 2*time.Second, "serve -cluster: how long to keep serving after the drain announcement before shutting down")
-	stageBudget := fs.Duration("stage-budget", 25*time.Millisecond, "serve: per-inference budget before hedged dispatch")
 	debugAddr := fs.String("debug-addr", "", "serve: extra listen address for the debug surface (/debug/pprof, /debug/traces)")
 	sloAvailability := fs.Float64("slo-availability", 0, "serve: availability objective, e.g. 0.999 — enables the SLO burn-rate engine, /v1/slo and the heteromap_slo_* gauges (0: disabled unless -slo-p99 is set)")
 	sloP99 := fs.Duration("slo-p99", 0, "serve: p99 latency objective, e.g. 50ms — at most 1% of requests may exceed it (0: engine default 250ms once enabled)")
@@ -186,16 +182,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}, stdout)
 		} else {
 			err = runServe(opts, serveOptions{
-				addr: *addr, cacheSize: *cacheSize, workers: *workers,
-				maxBatch: *maxBatch, maxWait: *maxWait, queueSize: *queueSize,
+				addr: *addr, cacheSize: *cacheSize, queueSize: *queueSize,
 				canarySet: *canarySet, reloadSLO: *reloadSLO,
 				chaosServe: *chaosServe, chaosSeed: *chaosSeed,
-				stageBudget: *stageBudget, debugAddr: *debugAddr,
-				traceSample: *traceSample,
+				debugAddr:       *debugAddr,
+				traceSample:     *traceSample,
 				sloAvailability: *sloAvailability, sloP99: *sloP99,
 				sloFastWindow: *sloFastWindow, sloSlowWindow: *sloSlowWindow,
-				cluster:     *clusterMode, drainGrace: *drainGrace,
-				online:      *onlineMode, driftWindow: *driftWindow,
+				cluster: *clusterMode, drainGrace: *drainGrace,
+				online: *onlineMode, driftWindow: *driftWindow,
 				driftThreshold: *driftThreshold, uncertaintyFloor: *uncertaintyFloor,
 				shadowDir: *shadowDir, probeCap: *probeCap, retrainMin: *retrainMin,
 				durableDir: *durableDir, snapshotInterval: *snapshotInterval,
@@ -354,15 +349,11 @@ type systemOptions struct {
 type serveOptions struct {
 	addr        string
 	cacheSize   int
-	workers     int
-	maxBatch    int
-	maxWait     time.Duration
 	queueSize   int
 	canarySet   string
 	reloadSLO   time.Duration
 	chaosServe  bool
 	chaosSeed   int64
-	stageBudget time.Duration
 	debugAddr   string
 	traceSample float64
 	cluster     bool
@@ -557,20 +548,16 @@ func runServe(o systemOptions, so serveOptions, stdout, stderr io.Writer) error 
 	}
 
 	sopts := serve.Options{
-		Addr:        so.addr,
-		Pair:        pair,
-		Registry:    reg,
-		Tracer:      tracer,
-		CacheSize:   so.cacheSize,
-		Workers:     so.workers,
-		MaxBatch:    so.maxBatch,
-		MaxWait:     so.maxWait,
-		QueueSize:   so.queueSize,
-		StageBudget: so.stageBudget,
-		Canary:      canary,
-		Chaos:       injector,
-		Online:      mgr,
-		SLO:         newSLOFromFlags(so.sloAvailability, so.sloP99, so.sloFastWindow, so.sloSlowWindow),
+		Addr:      so.addr,
+		Pair:      pair,
+		Registry:  reg,
+		Tracer:    tracer,
+		CacheSize: so.cacheSize,
+		QueueSize: so.queueSize,
+		Canary:    canary,
+		Chaos:     injector,
+		Online:    mgr,
+		SLO:       newSLOFromFlags(so.sloAvailability, so.sloP99, so.sloFastWindow, so.sloSlowWindow),
 	}
 	if sopts.SLO != nil {
 		fmt.Fprintf(stdout, "slo: burn-rate engine armed (availability %g, p99 %v); snapshot at /v1/slo\n",

@@ -398,12 +398,20 @@ func TestClusterMetricsFederation(t *testing.T) {
 	}
 
 	var perNodeSum float64
+	victimIdx := -1 // a node that served requests, so losing it must show
 	for i := range lc.Nodes {
 		code, text := getText(t, "http://"+lc.NodeAddr(i)+"/metrics")
 		if code != http.StatusOK {
 			t.Fatalf("node %d /metrics: status %d", i, code)
 		}
-		perNodeSum += promLine(t, text, "heteromap_requests_total ")
+		n := promLine(t, text, "heteromap_requests_total ")
+		if n > 0 && victimIdx < 0 {
+			victimIdx = i
+		}
+		perNodeSum += n
+	}
+	if victimIdx < 0 {
+		t.Fatal("no node served any of the warm requests")
 	}
 
 	code, fed := getText(t, lc.URL()+"/metrics/cluster")
@@ -424,8 +432,8 @@ func TestClusterMetricsFederation(t *testing.T) {
 
 	// Kill one node: federation stays 200, the victim flips to stale=1
 	// and its series disappear while the others keep reporting.
-	victim := lc.NodeAddr(1)
-	lc.KillNode(1)
+	victim := lc.NodeAddr(victimIdx)
+	lc.KillNode(victimIdx)
 	code, fed = getText(t, lc.URL()+"/metrics/cluster")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics/cluster with dead peer: status %d", code)

@@ -70,7 +70,7 @@ func BenchTargets(short bool) []BenchTarget {
 		},
 		{
 			Name: "serve/predict-e2e",
-			Doc:  "HTTP POST /v1/predict end to end (batcher, cache, tree model)",
+			Doc:  "HTTP POST /v1/predict end to end (cache, tree model)",
 			Run:  benchServePredict,
 		},
 		{
@@ -260,7 +260,7 @@ func servePredictOnce(b *testing.B, client *http.Client, url string, body []byte
 func benchServePredict(b *testing.B) {
 	// Rotate over distinct raw-feature requests: after the first lap the
 	// cache serves them, so the measurement covers the steady-state
-	// serve path (HTTP + batcher + cache hit) a production replica sees.
+	// serve path (HTTP + cache hit) a production replica sees.
 	ts, bodies, stop := benchServeSetup(b, serve.Options{})
 	defer stop()
 	client := ts.Client()

@@ -20,7 +20,7 @@ import (
 )
 
 // The differential fastpath suite: the serve layer's optimized paths —
-// the cache-hit fast path that answers before the batcher, the
+// the cache-hit fast path that answers before the miss path, the
 // in-process PredictCached entry point, and batch-native NN inference —
 // must be observationally identical to the slow reference paths they
 // shortcut. Every test here compares an optimized answer byte-for-byte
@@ -73,14 +73,14 @@ func explainRecords(t *testing.T, h http.Handler, traceID string) []obs.Provenan
 	return body.Predictions
 }
 
-// TestFastPathMatchesBatcherPath drives every grid point through the
-// slow path (cold cache -> batcher -> inference) and then the cache-hit
+// TestFastPathMatchesMissPath drives every grid point through the
+// slow path (cold cache -> miss path -> inference) and then the cache-hit
 // fast path, and requires the two answers to be byte-identical in every
 // semantic field: M, key, predictor, model identity — and identical to
 // the registry-direct chain Select the serve layer wraps. Explain
 // provenance for the warm request must match the cold one's in all
 // decision fields (only trace id, cached flag and timestamp may differ).
-func TestFastPathMatchesBatcherPath(t *testing.T) {
+func TestFastPathMatchesMissPath(t *testing.T) {
 	pair := machine.PrimaryPair()
 	s := serve.New(serve.Options{Pair: pair})
 	defer s.Shutdown(context.Background())
@@ -152,9 +152,11 @@ func TestFastPathMatchesBatcherPath(t *testing.T) {
 }
 
 // TestBatchNativeNNMatchesPerItem registers the same trained network on
-// two servers and answers the same characterizations once as a cold
-// /v1/predict/batch (the batch-native single-pass inference) and once
-// as sequential cold single-shot requests (per-item inference). Every
+// two servers and answers the same characterizations once as a
+// /v1/predict/batch (the batch-native single-pass inference over the
+// request's distinct misses) and once as sequential single-shot requests
+// (per-item inference). The batch repeats one row and carries one row
+// the cache already holds, so dedup and the hit path ride along. Every
 // positional answer must be byte-identical across the two, and equal to
 // the registry-direct Select — batching may change latency, never
 // results.
@@ -182,11 +184,23 @@ func TestBatchNativeNNMatchesPerItem(t *testing.T) {
 
 	pts := GridPoints(90210, 12)
 	var batch serve.BatchRequest
-	feats := make([]feature.Vector, len(pts))
-	for i, p := range pts {
-		feats[i] = p.Features.Discretized(feature.DiscretizationStep)
+	var feats []feature.Vector
+	for _, p := range pts {
+		feats = append(feats, p.Features.Discretized(feature.DiscretizationStep))
+	}
+	// Row 12 repeats row 3; row 5 is warmed into the cache first.
+	const dup, dupOf, warmed = 12, 3, 5
+	feats = append(feats, feats[dupOf])
+	for i := range feats {
 		batch.Requests = append(batch.Requests,
 			serve.PredictRequest{Model: "nn", Features: feats[i][:]})
+	}
+	warm, err := json.Marshal(batch.Requests[warmed])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if postPredict(t, batchSrv.Handler(), warm).Cached {
+		t.Fatal("warm-up request answered from an empty cache")
 	}
 	body, err := json.Marshal(batch)
 	if err != nil {
@@ -202,12 +216,17 @@ func TestBatchNativeNNMatchesPerItem(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Responses) != len(pts) {
-		t.Fatalf("batch answered %d of %d requests", len(got.Responses), len(pts))
+	if len(got.Responses) != len(feats) {
+		t.Fatalf("batch answered %d of %d requests", len(got.Responses), len(feats))
+	}
+	for i, r := range got.Responses {
+		if want := i == dup || i == warmed; r.Cached != want {
+			t.Fatalf("row %d: cached = %v, want %v", i, r.Cached, want)
+		}
 	}
 
 	ih := itemSrv.Handler()
-	for i := range pts {
+	for i := range feats {
 		if got.Responses[i].Error != "" {
 			t.Fatalf("batch row %d errored: %s", i, got.Responses[i].Error)
 		}

@@ -97,8 +97,8 @@ func (c *Chain) SelectCtx(ctx context.Context, f feature.Vector) Selection {
 }
 
 // BatchCapable reports whether the chain's primary predictor can answer
-// whole micro-batches in one pass. The serving batcher checks it before
-// routing a deduplicated batch through SelectBatchCtx.
+// many rows in one pass. The serve layer checks it before sending a
+// batch request's distinct misses through SelectBatchCtx.
 func (c *Chain) BatchCapable() bool {
 	for _, p := range c.Predictors {
 		if p != nil {
@@ -109,7 +109,7 @@ func (c *Chain) BatchCapable() bool {
 	return false
 }
 
-// SelectBatchCtx consults the chain for a whole micro-batch, filling
+// SelectBatchCtx consults the chain for many rows at once, filling
 // dst[i] with the selection for feats[i] (dst must hold len(feats)
 // entries). When the primary predictor is batch-capable and every row of
 // its single-pass answer validates, each selection is exactly what

@@ -10,23 +10,19 @@ import (
 
 // ServeProfile describes the serve-path failure modes the serving chaos
 // harness can inject, mirroring what takes real prediction services
-// down: a pathologically slow model, a wedged batch worker, a corrupt
-// model snapshot arriving through reload, and queue saturation. The
-// zero value injects nothing.
+// down: a pathologically slow model, a corrupt model snapshot arriving
+// through reload, and admission saturation. The zero value injects
+// nothing.
 type ServeProfile struct {
 	// SlowModelRate is the per-inference probability that the model
 	// stalls for SlowModelDelay before answering.
 	SlowModelRate  float64
 	SlowModelDelay time.Duration
-	// StallWorkerRate is the per-batch probability that the draining
-	// worker wedges for StallWorkerDelay before processing.
-	StallWorkerRate  float64
-	StallWorkerDelay time.Duration
 	// CorruptReloadRate is the per-reload probability that the candidate
 	// snapshot is treated as corrupt and must be rejected.
 	CorruptReloadRate float64
-	// QueueRejectRate is the per-submission probability that admission
-	// behaves as if the bounded queue were saturated.
+	// QueueRejectRate is the per-miss probability that admission behaves
+	// as if every slot were taken.
 	QueueRejectRate float64
 
 	// Cluster fault modes, injected at the router's forwarding layer
@@ -47,16 +43,14 @@ type ServeProfile struct {
 
 // Active reports whether the profile injects any serve fault at all.
 func (p ServeProfile) Active() bool {
-	return p.SlowModelRate > 0 || p.StallWorkerRate > 0 ||
-		p.CorruptReloadRate > 0 || p.QueueRejectRate > 0 ||
+	return p.SlowModelRate > 0 || p.CorruptReloadRate > 0 || p.QueueRejectRate > 0 ||
 		p.SlowPeerRate > 0 || p.PeerPartitionRate > 0 || p.NodeKillRate > 0
 }
 
 // String implements fmt.Stringer.
 func (p ServeProfile) String() string {
-	s := fmt.Sprintf("slow=%.2f@%v stall=%.2f@%v corrupt-reload=%.2f queue-reject=%.2f",
-		p.SlowModelRate, p.SlowModelDelay, p.StallWorkerRate, p.StallWorkerDelay,
-		p.CorruptReloadRate, p.QueueRejectRate)
+	s := fmt.Sprintf("slow=%.2f@%v corrupt-reload=%.2f queue-reject=%.2f",
+		p.SlowModelRate, p.SlowModelDelay, p.CorruptReloadRate, p.QueueRejectRate)
 	if p.SlowPeerRate > 0 || p.PeerPartitionRate > 0 || p.NodeKillRate > 0 {
 		s += fmt.Sprintf(" slow-peer=%.2f@%v partition=%.2f node-kill=%.2f",
 			p.SlowPeerRate, p.SlowPeerDelay, p.PeerPartitionRate, p.NodeKillRate)
@@ -66,8 +60,8 @@ func (p ServeProfile) String() string {
 
 // ScaledServeProfile derives a whole-pipeline serve chaos profile from a
 // single rate in [0,1], the serving analog of ScaledProfile: one number
-// controls fault intensity monotonically across all four modes. Delays
-// are sized to hurt (they exceed any sane per-stage budget) without
+// controls fault intensity monotonically across all three modes. The
+// delay is sized to hurt (it exceeds the breaker's latency rule) without
 // outliving a request deadline.
 func ScaledServeProfile(rate float64) ServeProfile {
 	if rate < 0 {
@@ -79,8 +73,6 @@ func ScaledServeProfile(rate float64) ServeProfile {
 	return ServeProfile{
 		SlowModelRate:     rate,
 		SlowModelDelay:    50 * time.Millisecond,
-		StallWorkerRate:   0.5 * rate,
-		StallWorkerDelay:  100 * time.Millisecond,
 		CorruptReloadRate: rate,
 		QueueRejectRate:   0.05 * rate,
 	}
@@ -107,9 +99,11 @@ func ScaledClusterProfile(rate float64) ServeProfile {
 }
 
 // serve-injection draw kinds, also the per-kind sequence-counter index.
+// Index 1 is unused, so every kind keeps the fault schedule its seed has
+// always produced.
 const (
 	serveKindSlowModel = iota
-	serveKindStallWorker
+	_
 	serveKindCorruptReload
 	serveKindQueueReject
 	serveKindSlowPeer
@@ -192,21 +186,6 @@ func (in *ServeInjector) SlowModel() (time.Duration, bool) {
 	}
 	if in.draw(serveKindSlowModel) < p.SlowModelRate {
 		return p.SlowModelDelay, true
-	}
-	return 0, false
-}
-
-// StallWorker decides whether the next batch drain wedges its worker.
-func (in *ServeInjector) StallWorker() (time.Duration, bool) {
-	if in == nil {
-		return 0, false
-	}
-	p := in.ServeProfile()
-	if p.StallWorkerRate <= 0 || p.StallWorkerDelay <= 0 {
-		return 0, false
-	}
-	if in.draw(serveKindStallWorker) < p.StallWorkerRate {
-		return p.StallWorkerDelay, true
 	}
 	return 0, false
 }

@@ -16,7 +16,7 @@ func TestServeProfileActiveAndScaling(t *testing.T) {
 		t.Fatal("zero-rate scaled profile active")
 	}
 	lo, hi := ScaledServeProfile(0.2), ScaledServeProfile(0.9)
-	if hi.SlowModelRate <= lo.SlowModelRate || hi.StallWorkerRate <= lo.StallWorkerRate {
+	if hi.SlowModelRate <= lo.SlowModelRate || hi.QueueRejectRate <= lo.QueueRejectRate {
 		t.Fatalf("scaling not monotone: %v vs %v", lo, hi)
 	}
 	clamped := ScaledServeProfile(7)
@@ -63,9 +63,6 @@ func TestServeInjectorNilAndEmpty(t *testing.T) {
 	var in *ServeInjector
 	if _, ok := in.SlowModel(); ok || in.CorruptReload() || in.RejectQueue() || in.Enabled() {
 		t.Fatal("nil injector injected a fault")
-	}
-	if _, ok := in.StallWorker(); ok {
-		t.Fatal("nil injector stalled a worker")
 	}
 	in.SetServeProfile(ScaledServeProfile(1)) // must not panic
 	live := NewServeInjector(1)

@@ -358,12 +358,14 @@ func (tr *Trace) Flags() Flag {
 
 // Finish ends the root span, applies the tail-based sampling decision
 // and, when the trace is retained, snapshots it into the ring buffer.
-// Finish is idempotent; spans ended after Finish are dropped silently
-// (a hedge loser's goroutine may outlive the request).
+// The decision comes first, so a dropped trace never pays for its
+// snapshot. Finish is idempotent; spans ended after Finish are dropped
+// silently (a hedge loser's goroutine may outlive the request).
 func (tr *Trace) Finish() {
 	if tr == nil {
 		return
 	}
+	t := tr.tracer
 	tr.mu.Lock()
 	if tr.finished {
 		tr.mu.Unlock()
@@ -374,16 +376,18 @@ func (tr *Trace) Finish() {
 		tr.root.dur = time.Since(tr.root.start)
 		tr.root.outcome = "ok"
 	}
-	rec := tr.recordLocked()
 	flags := tr.flags
+	keep := flags != 0 || t.sample()
+	var rec TraceRecord
+	if keep {
+		rec = tr.recordLocked()
+	}
 	tr.mu.Unlock()
 
-	t := tr.tracer
 	t.ring.observe(flags != 0)
-	if flags == 0 && !t.sample() {
-		return
+	if keep {
+		t.ring.add(rec)
 	}
-	t.ring.add(rec)
 }
 
 // sample draws one probabilistic retention decision.

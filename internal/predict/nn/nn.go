@@ -121,7 +121,7 @@ func (n *Network) PredictChecked(f feature.Vector) (config.M, error) {
 }
 
 // PredictBatchChecked implements predict.BatchPredictor: one pass over
-// pooled activation matrices answers the whole micro-batch. Per row it
+// pooled activation matrices answers every row at once. Per row it
 // performs exactly the operations PredictChecked performs — same layer
 // order, same inner-loop accumulation order — so every dst[i] is
 // bit-identical to PredictChecked(feats[i]); the conformance fastpath

@@ -48,9 +48,9 @@ type Checked interface {
 	PredictChecked(f feature.Vector) (config.M, error)
 }
 
-// BatchPredictor is implemented by predictors that can answer a whole
-// micro-batch in one preallocated pass instead of per-request loops —
-// the serving batcher routes deduplicated micro-batches through it.
+// BatchPredictor is implemented by predictors that can answer many rows
+// in one preallocated pass instead of per-row loops — the serve layer
+// sends a batch request's distinct misses through it.
 type BatchPredictor interface {
 	Checked
 	// PredictBatchChecked fills dst[i] with the prediction for feats[i]

@@ -74,8 +74,8 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 }
 
 // GetFast must count hits exactly like Get but never count a miss: a
-// fast-path miss proceeds into the batcher, whose authoritative lookup
-// records it — counting both would double every miss.
+// PredictCached miss is re-issued through the full predict path, whose
+// lookup records it — counting both would double every miss.
 func TestCacheGetFastCountsHitsOnly(t *testing.T) {
 	c := NewCache(4, 1)
 	if _, ok := c.GetFast(ck("a")); ok {

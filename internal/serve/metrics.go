@@ -11,7 +11,7 @@ import (
 
 // latencyBuckets are the histogram upper bounds in seconds, log-spaced
 // from 5µs to 1s — prediction inference sits in the tens of microseconds,
-// queueing and batching push the tail into milliseconds.
+// HTTP framing and slow models push the tail into milliseconds.
 var latencyBuckets = []float64{
 	5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
 	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1,
@@ -139,12 +139,20 @@ type modelStats struct {
 }
 
 // Metrics is the serving subsystem's instrumentation: atomic counters and
-// histograms covering requests, errors, queueing, batching, caching,
+// histograms covering requests, errors, admission, inference, caching,
 // fallback events and per-model latency. Everything is lock-free on the
 // hot path; the per-model map uses sync.Map keyed by model name.
+//
+// Some fields have no producer since misses are answered inline —
+// Hedges, HedgeWins, SafeDefaults, WorkerRestarts, ChaosStalls,
+// QueueWait, ShedWait and BatchAssembly — and stay so the /metrics
+// exposition keeps every family it has always had.
 type Metrics struct {
 	// Requests counts accepted prediction items (batch items count
-	// individually); HTTPErrors counts 4xx/5xx responses.
+	// individually); HTTPErrors counts 4xx/5xx responses; QueueFull
+	// counts misses shed at admission. Batches counts inference passes
+	// and BatchItems the predictions those passes answered, so
+	// BatchItems/Batches is the mean dedup-and-batch factor.
 	Requests    atomic.Uint64
 	HTTPErrors  atomic.Uint64
 	InFlight    atomic.Int64
@@ -156,14 +164,10 @@ type Metrics struct {
 
 	// Self-healing counters. ReloadRejected counts reloads whose
 	// candidate snapshot was quarantined (canary failure or corrupt/
-	// empty database); Hedges counts inferences that launched a hedge
-	// after the stage budget elapsed, HedgeWins the hedges that answered
-	// first; BreakerRouted counts dispatches sent straight to the
+	// empty database); BreakerRouted counts misses sent straight to the
 	// last-known-good version because the active version's breaker was
-	// open; SafeDefaults counts answers of last resort (no hedge target,
-	// primary over budget twice); DeadlineDrops counts tasks abandoned
-	// unprocessed because their deadline had already passed when the
-	// worker reached them.
+	// open; DeadlineDrops counts misses whose deadline passed before
+	// their answer.
 	ReloadRejected atomic.Uint64
 	CanaryRuns     atomic.Uint64
 	Hedges         atomic.Uint64
@@ -172,24 +176,20 @@ type Metrics struct {
 	SafeDefaults   atomic.Uint64
 	DeadlineDrops  atomic.Uint64
 
-	// Chaos-harness counters. WorkerRestarts counts batch workers the
-	// watchdog declared stalled and replaced; the Chaos* counters record
-	// injected serve faults.
+	// Chaos-harness counters: the Chaos* counters record injected serve
+	// faults.
 	WorkerRestarts   atomic.Uint64
 	ChaosSlowModel   atomic.Uint64
 	ChaosStalls      atomic.Uint64
 	ChaosQueueReject atomic.Uint64
 
-	// RequestLatency is end-to-end (enqueue to response ready).
+	// RequestLatency is per prediction, from the cache lookup to the
+	// answer being ready.
 	RequestLatency *Histogram
 
 	// Per-stage latency attribution for the predict path, exposed as
-	// heteromap_stage_duration_seconds{stage=...}. QueueWait covers
-	// enqueue to batch pickup for tasks that were served; ShedWait the
-	// same interval for tasks dropped because their deadline expired in
-	// the queue — recorded separately so shed and served wait are
-	// distinguishable. BatchAssembly is pickup to batch processing,
-	// CacheLookup and Inference the per-group stage costs.
+	// heteromap_stage_duration_seconds{stage=...}. CacheLookup is one
+	// per prediction, Inference one per inference pass.
 	QueueWait     *Histogram
 	ShedWait      *Histogram
 	BatchAssembly *Histogram

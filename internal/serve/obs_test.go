@@ -133,8 +133,8 @@ func TestTraceEndToEndCoversPipeline(t *testing.T) {
 	}
 	names := spanNames(rec)
 	for _, stage := range []string{
-		"predict", "decode", "resolve", "registry", "queue", "batch",
-		"cache", "inference", "infer:primary", "consult:Decision Tree",
+		"predict", "decode", "resolve", "registry",
+		"cache", "inference", "consult:Decision Tree",
 	} {
 		if _, ok := names[stage]; !ok {
 			t.Fatalf("stage span %q missing; trace has %v", stage, names)
@@ -240,78 +240,6 @@ func TestExplainReproducesServedKnobs(t *testing.T) {
 	}
 }
 
-// ---- satellite: hedge race under tracing -----------------------------
-
-// When the hedge wins the dispatch race, its span tree attaches to the
-// request trace with outcome ok, the losing primary is marked
-// cancelled, the trace is flagged hedge-win, and /v1/explain names the
-// hedge's chain link as the answering learner.
-func TestHedgeWinnerSpanAttachesToRequestTrace(t *testing.T) {
-	tracer, _ := newObsTracer(-1) // only flagged traces survive
-	pair := machine.PrimaryPair()
-	limits := pair.Limits()
-	s, ts := newTestServer(t, Options{
-		Tracer: tracer, Workers: 1, MaxBatch: 1,
-		MaxWait: time.Microsecond, StageBudget: 5 * time.Millisecond,
-	})
-	fast, err := s.Registry().Register("live", "v1-fast", fixedPred{m: config.DefaultGPU(limits)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Registry().Register("live", "v2-slow",
-		&slowPred{m: config.DefaultMulticore(limits), delay: 80 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-
-	resp, body := postJSON(t, ts.URL+"/v1/predict", bfsRequest("live"))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var pr PredictResponse
-	if err := json.Unmarshal(body, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Version != fast.Version {
-		t.Fatalf("answered by v%d, want hedge v%d", pr.Version, fast.Version)
-	}
-	joined := strings.Join(pr.Resilience, "; ")
-	if !strings.Contains(joined, "hedge-win") {
-		t.Fatalf("resilience events missing hedge-win: %q", joined)
-	}
-
-	rec, ok := findTrace(tracer, pr.TraceID)
-	if !ok {
-		t.Fatal("hedge-win trace not retained by tail sampling")
-	}
-	flags := strings.Join(rec.Flags, ",")
-	if !strings.Contains(flags, "hedge-win") {
-		t.Fatalf("trace flags = %v, want hedge-win", rec.Flags)
-	}
-	names := spanNames(rec)
-	if names["infer:hedge"] != "ok" {
-		t.Fatalf("infer:hedge outcome = %q, want ok", names["infer:hedge"])
-	}
-	if names["infer:primary"] != "cancelled" {
-		t.Fatalf("infer:primary outcome = %q, want cancelled", names["infer:primary"])
-	}
-
-	// Provenance points at the version that actually answered.
-	eresp, err := http.Get(ts.URL + "/v1/explain/" + pr.TraceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eresp.Body.Close()
-	var explain struct {
-		Predictions []obs.Provenance `json:"predictions"`
-	}
-	if err := json.NewDecoder(eresp.Body).Decode(&explain); err != nil {
-		t.Fatal(err)
-	}
-	if len(explain.Predictions) != 1 || explain.Predictions[0].Version != fast.Version {
-		t.Fatalf("provenance = %+v, want version %d", explain.Predictions, fast.Version)
-	}
-}
-
 // ---- acceptance: flagged slog lines resolve to retained traces -------
 
 // A deadline-expired request answers 504, logs "request failed" with a
@@ -413,28 +341,18 @@ func logTraceID(t *testing.T, buf *syncBuffer, msg string) string {
 	return ""
 }
 
-// ---- satellite: queue-wait accounting --------------------------------
+// ---- satellite: stage accounting -------------------------------------
 
-// Served requests attribute their latency across stages: queue wait +
-// batch assembly + cache + inference accounts for (nearly all of) the
-// observed end-to-end total.
+// Served misses attribute their latency across stages: cache lookup +
+// inference accounts for (nearly all of) the observed end-to-end total.
 func TestStageAccountingSumsToTotal(t *testing.T) {
 	pair := machine.PrimaryPair()
-	reg := NewRegistry(pair)
-	slow := &slowPred{m: config.DefaultGPU(pair.Limits()), delay: 20 * time.Millisecond}
-	model, err := reg.Register("slow", "test", slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := NewMetrics()
-	b := NewBatcher(NewCache(64, 2), metrics, BatcherConfig{
-		Workers: 1, MaxBatch: 1, MaxWait: time.Microsecond, StageBudget: time.Second,
-	})
-	t.Cleanup(b.Stop)
+	s := missServer(t, Options{Pair: pair}, &slowPred{m: config.DefaultGPU(pair.Limits()), delay: 20 * time.Millisecond})
+	metrics := s.Metrics()
 
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, err := submit(context.Background(), b, model, testFeature(i)); err != nil {
+		if _, _, err := predictFeat(context.Background(), s, "live", testFeature(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -443,111 +361,26 @@ func TestStageAccountingSumsToTotal(t *testing.T) {
 		h     *Histogram
 		count uint64
 	}{
-		{"queue", metrics.QueueWait, n},
-		{"batch", metrics.BatchAssembly, n},
 		{"cache", metrics.CacheLookup, n},
 		{"inference", metrics.Inference, n},
 		{"total", metrics.RequestLatency, n},
-		{"shed", metrics.ShedWait, 0},
 	} {
 		if got := st.h.Count(); got != st.count {
 			t.Fatalf("%s count = %d, want %d", st.name, got, st.count)
 		}
 	}
 	total := metrics.RequestLatency.Sum()
-	stages := metrics.QueueWait.Sum() + metrics.BatchAssembly.Sum() +
-		metrics.CacheLookup.Sum() + metrics.Inference.Sum()
+	stages := metrics.CacheLookup.Sum() + metrics.Inference.Sum()
 	if stages > total {
 		t.Fatalf("stage sums %v exceed observed total %v", stages, total)
 	}
-	// The unattributed residue is fan-out bookkeeping — microseconds per
-	// request against ~20ms of inference each.
+	// The unattributed residue is admission, the cache put and response
+	// assembly — microseconds per request against ~20ms of inference.
 	if gap := total - stages; gap > total/4+10*time.Millisecond {
 		t.Fatalf("stages account for too little: total %v, stages %v (gap %v)", total, stages, gap)
 	}
 	if metrics.Inference.Sum() < n*15*time.Millisecond {
 		t.Fatalf("inference sum %v implausibly small for %d 20ms predictions", metrics.Inference.Sum(), n)
-	}
-}
-
-// Shed and served queue waits land in separate histograms: a task whose
-// deadline expired in the queue is recorded as ShedWait (and counted as
-// a deadline drop), never as served QueueWait.
-func TestShedVsServedQueueWaitSeparated(t *testing.T) {
-	pair := machine.PrimaryPair()
-	reg := NewRegistry(pair)
-	slow := &slowPred{m: config.DefaultGPU(pair.Limits()), delay: 40 * time.Millisecond}
-	model, err := reg.Register("slow", "test", slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := NewMetrics()
-	b := NewBatcher(NewCache(64, 2), metrics, BatcherConfig{
-		Workers: 1, MaxBatch: 1, MaxWait: time.Microsecond, StageBudget: time.Second,
-	})
-	t.Cleanup(b.Stop)
-
-	// Occupy the single worker with a 40ms inference.
-	firstDone := make(chan error, 1)
-	go func() {
-		_, err := submit(context.Background(), b, model, testFeature(0))
-		firstDone <- err
-	}()
-	workerBusy := func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		for _, ws := range b.workers {
-			if ws.busy.Load() {
-				return true
-			}
-		}
-		return false
-	}
-	for deadline := time.Now().Add(time.Second); !workerBusy(); {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never picked up the occupying task")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Three tasks whose callers give up after 5ms: they expire while the
-	// worker is busy and must be dropped, not served.
-	const drops = 3
-	var wg sync.WaitGroup
-	for i := 0; i < drops; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-			defer cancel()
-			if _, err := submit(ctx, b, model, testFeature(10+i)); err == nil {
-				t.Error("expired task was served")
-			}
-		}(i)
-	}
-	wg.Wait() // callers observed their deadlines; tasks still queued
-
-	// A final served request behind them in FIFO order proves the queue
-	// drained past the drops.
-	if _, err := submit(context.Background(), b, model, testFeature(99)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-firstDone; err != nil {
-		t.Fatal(err)
-	}
-
-	if got := metrics.DeadlineDrops.Load(); got != drops {
-		t.Fatalf("DeadlineDrops = %d, want %d", got, drops)
-	}
-	if got := metrics.ShedWait.Count(); got != drops {
-		t.Fatalf("ShedWait count = %d, want %d (one per drop)", got, drops)
-	}
-	if got := metrics.QueueWait.Count(); got != 2 {
-		t.Fatalf("QueueWait count = %d, want 2 (served only)", got)
-	}
-	// Each dropped task waited at least its own 5ms deadline.
-	if min := time.Duration(drops) * 5 * time.Millisecond; metrics.ShedWait.Sum() < min {
-		t.Fatalf("ShedWait sum %v < %v", metrics.ShedWait.Sum(), min)
 	}
 }
 

@@ -111,9 +111,7 @@ func newOnlineLoopServer(t *testing.T, floor float64, mutate func(string) error)
 		Pair:     pair,
 		Canary:   &CanaryConfig{Cases: cases, MaxLatency: time.Second, MaxMismatches: len(cases)},
 		Online:   mgr,
-		Workers:  2,
 	})
-	t.Cleanup(func() { srv.batcher.Stop() })
 	return srv, mgr
 }
 
@@ -353,8 +351,7 @@ func TestOnlineEndpointAndMetrics(t *testing.T) {
 	}
 
 	// Without a manager the endpoint 409s like /v1/chaos does.
-	plain := New(Options{Workers: 1})
-	t.Cleanup(func() { plain.batcher.Stop() })
+	plain := New(Options{})
 	pts := httptest.NewServer(plain.Handler())
 	defer pts.Close()
 	oresp, err := http.Get(pts.URL + "/v1/online")

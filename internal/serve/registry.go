@@ -49,10 +49,10 @@ func (m *Model) SelectCtx(ctx context.Context, f feature.Vector) fault.Selection
 }
 
 // BatchCapable reports whether the chain's primary predictor answers
-// whole micro-batches in one pass (implements predict.BatchPredictor).
+// many rows in one pass (implements predict.BatchPredictor).
 func (m *Model) BatchCapable() bool { return m.chain.BatchCapable() }
 
-// SelectBatchCtx consults the chain once for a whole micro-batch; see
+// SelectBatchCtx consults the chain once for many rows; see
 // fault.Chain.SelectBatchCtx for the equivalence contract.
 func (m *Model) SelectBatchCtx(ctx context.Context, feats []feature.Vector, dst []fault.Selection) {
 	m.chain.SelectBatchCtx(ctx, feats, dst)
@@ -76,16 +76,6 @@ func (m *Model) Link(name string) predict.Predictor {
 // Breaker returns the model version's circuit breaker.
 func (m *Model) Breaker() *fault.Breaker { return m.breaker }
 
-// SafeDefault is the chain's terminal fixed choice — the answer of last
-// resort when the model cannot be consulted within a bounded time.
-func (m *Model) SafeDefault() fault.Selection {
-	return fault.Selection{
-		M:         m.chain.Default.Clamp(m.chain.Limits),
-		Used:      m.chain.DefaultLabel,
-		Fallbacks: []string{fmt.Sprintf("%s: abandoned (over budget)", m.PredictorName())},
-	}
-}
-
 // ModelInfo is the /v1/models wire representation of an entry.
 type ModelInfo struct {
 	Name      string `json:"name"`
@@ -95,7 +85,7 @@ type ModelInfo struct {
 	Default   bool   `json:"default"`
 	// Breaker is the version's circuit state: closed, open or half-open.
 	Breaker string `json:"breaker"`
-	// LastGoodVersion is the previous healthy version hedged/routed to
+	// LastGoodVersion is the previous healthy version misses route to
 	// when this version's breaker trips (0: none).
 	LastGoodVersion uint64 `json:"last_good_version,omitempty"`
 }
@@ -122,8 +112,8 @@ var ErrCanaryRejected = errors.New("serve: canary rejected candidate snapshot")
 // Reads take a shared lock and return immutable *Model snapshots;
 // registration replaces the map entry atomically under the write lock —
 // the hot-swap path. For every name the previously active snapshot is
-// retained as last-known-good, the hedge/failover target when the
-// current version's breaker trips.
+// retained as last-known-good, the routing target when the current
+// version's breaker trips.
 type Registry struct {
 	pair machine.Pair
 
@@ -231,8 +221,8 @@ func (r *Registry) Get(name string) (*Model, error) {
 	return nil, fmt.Errorf("serve: unknown model %q", name)
 }
 
-// LastGood resolves a name's previous healthy snapshot — the hedge and
-// breaker-failover target. Nil when the name has never been swapped.
+// LastGood resolves a name's previous healthy snapshot — the
+// breaker-routing target. Nil when the name has never been swapped.
 func (r *Registry) LastGood(name string) *Model {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,35 +41,25 @@ type Options struct {
 	// CacheSize / CacheShards size the prediction cache (4096 / 16).
 	CacheSize   int
 	CacheShards int
-	// QueueSize bounds the request queue (1024); Workers sizes the
-	// batch-draining pool (4); MaxBatch and MaxWait bound each
-	// micro-batch (64 items / 2ms).
+	// QueueSize bounds the cache misses answered concurrently (1024); a
+	// miss beyond it is shed with 503 and a Retry-After hint.
 	QueueSize int
-	Workers   int
-	MaxBatch  int
-	MaxWait   time.Duration
 	// Step is the feature discretization increment
 	// (feature.DiscretizationStep).
 	Step float64
-	// RequestTimeout bounds one prediction end to end (5s); the
-	// deadline propagates through the queue into the batch workers.
+	// RequestTimeout bounds one prediction end to end (5s); a miss whose
+	// deadline passes before its answer is ready gets 504.
 	RequestTimeout time.Duration
 	// MaxBodyBytes bounds a request body (1 MiB); larger bodies are
 	// rejected with 413 before decoding.
 	MaxBodyBytes int64
 
-	// StageBudget bounds one model inference before the batcher hedges
-	// against the last-known-good version (25ms); it is also the
-	// per-version breaker's latency SLO.
-	StageBudget time.Duration
 	// BreakerThreshold/BreakerCooldown configure the per-model-version
-	// circuit breakers (5 consecutive SLO violations / 64 refused
+	// circuit breakers (5 consecutive failures — degraded answers or
+	// inferences slower than breakerSlowInference — / 64 refused
 	// dispatches before a half-open probe).
 	BreakerThreshold int
 	BreakerCooldown  int
-	// StallTimeout is the batch-worker watchdog's no-progress bound
-	// (1s); < 0 disables the watchdog.
-	StallTimeout time.Duration
 
 	// Canary gates /v1/reload: candidate snapshots must pass the golden
 	// set before replacing the active model (nil: sanity checks only).
@@ -107,9 +98,8 @@ type Options struct {
 	DisableTracing bool
 
 	// SLO tracks availability and p99-latency objectives over the served
-	// traffic and exposes /v1/slo plus the heteromap_slo_* gauges; when
-	// its error budget exhausts, the batcher tightens its hedge budget.
-	// Nil disables SLO tracking.
+	// traffic and exposes /v1/slo plus the heteromap_slo_* gauges. Nil
+	// disables SLO tracking.
 	SLO *obs.SLO
 }
 
@@ -129,15 +119,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueSize <= 0 {
 		o.QueueSize = 1024
 	}
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 64
-	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
-	}
 	if o.Step <= 0 {
 		o.Step = feature.DiscretizationStep
 	}
@@ -147,17 +128,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
 	}
-	if o.StageBudget <= 0 {
-		o.StageBudget = 25 * time.Millisecond
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 64
-	}
-	if o.StallTimeout == 0 {
-		o.StallTimeout = time.Second
 	}
 	if o.Tracer == nil && !o.DisableTracing {
 		o.Tracer = obs.NewTracer(obs.Options{})
@@ -172,14 +147,14 @@ func (o Options) withDefaults() Options {
 // is configured.
 func defaultStep() float64 { return feature.DiscretizationStep }
 
-// Server is the prediction service: registry -> batcher -> cache ->
-// predictor -> metrics behind an HTTP/JSON API, with canary-gated
-// reloads, hedged dispatch and a chaos/watchdog self-healing layer.
+// Server is the prediction service: registry -> cache -> predictor ->
+// metrics behind an HTTP/JSON API, with canary-gated reloads,
+// per-version breakers and a chaos harness. A cache miss is answered
+// inline on the request's goroutine (miss.go).
 type Server struct {
 	opts     Options
 	registry *Registry
 	cache    *Cache
-	batcher  *Batcher
 	metrics  *Metrics
 	tracer   *obs.Tracer // nil when tracing is disabled
 	slo      *obs.SLO    // nil when SLO tracking is disabled
@@ -190,6 +165,12 @@ type Server struct {
 	// predictions keep being served — planned shutdown must produce zero
 	// 5xx for the window the routers need to move traffic away.
 	draining atomic.Bool
+
+	// admit is the miss-path admission semaphore (QueueSize slots); its
+	// length is the number of misses in flight.
+	admit chan struct{}
+	// flights deduplicates concurrent identical misses (miss.go).
+	flights flightGroup
 
 	// dur is the durability bookkeeping (durable.go).
 	dur serveDurable
@@ -214,22 +195,11 @@ func New(opts Options) *Server {
 		opts:     opts,
 		registry: reg,
 		cache:    cache,
-		batcher: NewBatcher(cache, metrics, BatcherConfig{
-			QueueSize:    opts.QueueSize,
-			Workers:      opts.Workers,
-			MaxBatch:     opts.MaxBatch,
-			MaxWait:      opts.MaxWait,
-			StageBudget:  opts.StageBudget,
-			StallTimeout: opts.StallTimeout,
-			Chaos:        opts.Chaos,
-			// opts.SLO may be nil; the bound method is nil-safe, so the
-			// batcher can always ask whether the error budget is gone.
-			SLOExhausted: opts.SLO.Exhausted,
-		}),
-		metrics: metrics,
-		tracer:  opts.Tracer,
-		slo:     opts.SLO,
-		started: time.Now(),
+		metrics:  metrics,
+		tracer:   opts.Tracer,
+		slo:      opts.SLO,
+		started:  time.Now(),
+		admit:    make(chan struct{}, opts.QueueSize),
 	}
 	s.http = &http.Server{Addr: opts.Addr, Handler: s.Handler()}
 	if on := opts.Online; on != nil {
@@ -348,12 +318,12 @@ func (s *Server) Addr() string {
 	return (*ln).Addr().String()
 }
 
-// Shutdown gracefully stops the HTTP listener, then drains the batcher
-// so every queued prediction is still answered, and — when durability
-// is enabled — takes a final cache snapshot so the next boot is warm.
+// Shutdown gracefully stops the HTTP listener and waits for in-flight
+// requests — misses included, since each is answered on its handler's
+// goroutine — and, when durability is enabled, takes a final cache
+// snapshot so the next boot is warm.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.http.Shutdown(ctx)
-	s.batcher.Stop()
 	s.stopSnapshotLoop()
 	if s.opts.DurableDir != "" {
 		s.SnapshotCache()
@@ -375,14 +345,12 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // active connections are closed immediately, resetting in-flight
 // requests. It is the in-process stand-in for kill -9 in the cluster
 // chaos harness — callers see transport errors, exactly like a crashed
-// node. The batcher is stopped asynchronously; Kill itself returns at
-// once.
+// node. Kill returns at once.
 // No snapshot is taken and the snapshot loop is simply abandoned: a
 // dead process gets no shutdown courtesies, and recovery must work from
 // whatever the last completed snapshot and WAL left behind.
 func (s *Server) Kill() {
 	s.http.Close()
-	go s.batcher.Stop()
 	go s.stopSnapshotLoop()
 }
 
@@ -426,10 +394,10 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int,
 	return http.StatusOK, nil
 }
 
-// predictOne runs one request through admission, cache and batcher; the
-// returned status is the HTTP code an error should carry. When ctx
-// carries a trace, each admission stage is recorded as a span and the
-// served answer leaves a provenance record behind.
+// predictOne answers one request: resolve, the cache, and on a miss the
+// inline miss path (miss.go). The returned status is the HTTP code an
+// error should carry. When ctx carries a trace, each stage is recorded
+// as a span and the served answer leaves a provenance record behind.
 func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictResponse, int, error) {
 	rctx, sp := obs.StartSpan(ctx, "resolve")
 	feat, err := ResolveFeatures(req, s.opts.Step)
@@ -439,76 +407,73 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 	}
 	sp.End()
 	_, sp = obs.StartSpan(rctx, "registry")
-	model, err := s.registry.Get(req.Model)
+	model, err := s.model(ctx, req.Model)
 	if err != nil {
 		sp.EndErr(err)
 		return PredictResponse{}, http.StatusNotFound, err
 	}
 	sp.SetAttr("model", modelVersionTag(model))
 	sp.End()
-	obs.TraceFromContext(ctx).SetAttr("model", model.Name)
 
-	s.metrics.Requests.Add(1)
-
-	// Cache-hit fast path: answer straight from the LRU before any
-	// batcher, queue or span-heavy machinery is touched. The binary key
-	// build and the lookup are allocation-free, so a warm request's serve
-	// cost is one shard lock — it never pays the micro-batch fill wait.
-	// The response is built exactly as the batcher's cache-hit branch
-	// builds it, and the same post-serve hooks (online observation,
-	// resilience notes, provenance) run, so the two paths are
-	// byte-indistinguishable to callers; the differential fastpath suite
-	// in internal/conformance enforces that. A miss falls through to the
-	// batcher, whose authoritative cache lookup counts it.
+	start := time.Now()
 	key := cacheKeyFor(model, feat)
-	cacheStart := time.Now()
-	if val, ok := s.cache.GetFast(key); ok {
-		cacheDur := time.Since(cacheStart)
-		tid := obs.TraceID(ctx)
-		s.metrics.CacheLookup.ObserveTraced(cacheDur, tid)
-		obs.AddSpan(rctx, "cache", cacheStart, cacheDur, obs.Attr{Key: "hit", Value: "true"})
-		s.metrics.RequestLatency.ObserveTraced(time.Since(cacheStart), tid)
-		resp := PredictResponse{
-			Model:         model.Name,
-			Version:       model.Version,
-			Key:           feat.Key(),
-			PredictorUsed: val.Used,
-			Cached:        true,
-			M:             val.M,
-			TraceID:       tid,
+	resp, hit := s.lookup(model, feat, key)
+	dur := time.Since(start)
+	s.metrics.CacheLookup.ObserveTraced(dur, obs.TraceID(ctx))
+	obs.AddSpan(ctx, "cache", start, dur, obs.Attr{Key: "hit", Value: strconv.FormatBool(hit)})
+	if !hit {
+		var status int
+		if resp, status, err = s.miss(ctx, model, feat, key); err != nil {
+			return PredictResponse{}, status, err
 		}
-		if s.opts.Online != nil {
-			s.observeOnline(ctx, model, feat, &resp)
-		}
-		s.noteResilience(ctx, &resp)
-		s.recordProvenance(model, feat, &resp)
-		return resp, http.StatusOK, nil
 	}
-
-	t := &task{
-		model:    model,
-		hedge:    s.registry.LastGood(req.Model),
-		feat:     feat,
-		cacheKey: key,
-		done:     make(chan taskResult, 1),
-	}
-	resp, err := s.batcher.Submit(ctx, t)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrQueueFull) {
-			status = http.StatusServiceUnavailable
-		} else if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			status = http.StatusGatewayTimeout
-		}
-		return PredictResponse{}, status, err
-	}
-	resp.TraceID = obs.TraceID(ctx)
-	if s.opts.Online != nil {
-		s.observeOnline(ctx, model, feat, &resp)
-	}
-	s.noteResilience(ctx, &resp)
-	s.recordProvenance(model, feat, &resp)
+	s.finish(ctx, model, feat, &resp, start)
 	return resp, http.StatusOK, nil
+}
+
+// model resolves the registry entry that answers a request, counting
+// the accepted item and naming the model on the trace.
+func (s *Server) model(ctx context.Context, name string) (*Model, error) {
+	m, err := s.registry.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	obs.TraceFromContext(ctx).SetAttr("model", m.Name)
+	s.metrics.Requests.Add(1)
+	return m, nil
+}
+
+// lookup is the predict path's one cache read. It is allocation-free,
+// so a warm request's serve cost is one shard lock; a miss is counted
+// here and goes on to the miss path.
+func (s *Server) lookup(model *Model, feat feature.Vector, key CacheKey) (PredictResponse, bool) {
+	val, hit := s.cache.Get(key)
+	if !hit {
+		return PredictResponse{}, false
+	}
+	return PredictResponse{
+		Model:         model.Name,
+		Version:       model.Version,
+		Key:           feat.Key(),
+		PredictorUsed: val.Used,
+		Cached:        true,
+		M:             val.M,
+	}, true
+}
+
+// finish stamps a served answer and runs the post-serve hooks every
+// path shares — end-to-end latency, online observation, resilience
+// notes and provenance — so a hit, a miss and a batch row are
+// indistinguishable to callers apart from the cached flag; the
+// differential fastpath suite in internal/conformance enforces that.
+func (s *Server) finish(ctx context.Context, model *Model, feat feature.Vector, resp *PredictResponse, start time.Time) {
+	resp.TraceID = obs.TraceID(ctx)
+	s.metrics.RequestLatency.ObserveTraced(time.Since(start), resp.TraceID)
+	if s.opts.Online != nil {
+		s.observeOnline(ctx, model, feat, resp)
+	}
+	s.noteResilience(ctx, resp)
+	s.recordProvenance(model, feat, resp)
 }
 
 // PredictCached answers one already-resolved characterization from the
@@ -519,8 +484,8 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 // /v1/predict and is guaranteed allocation-free — the hmbench
 // serve/predict-cachehit target and TestPredictCachedZeroAlloc gate it
 // at exactly zero allocs per call. A cold key reports ok=false without
-// touching the batcher (and without counting a cache miss; callers fall
-// back to the full path, which counts it once).
+// touching the miss path (and without counting a cache miss; callers
+// fall back to the full path, which counts it once).
 func (s *Server) PredictCached(model string, feat feature.Vector) (m config.M, used string, version uint64, ok bool) {
 	mod, err := s.registry.Get(model)
 	if err != nil {
@@ -590,9 +555,9 @@ func (s *Server) handleOnline(w http.ResponseWriter, r *http.Request) {
 }
 
 // noteResilience flags the trace and logs a correlated slog line for
-// every event that altered the answer — fallback-chain degradations and
-// hedge/breaker/safe-default dispatch decisions — so flagged traces are
-// always retained and findable from the logs.
+// every event that altered the answer — fallback-chain degradations,
+// breaker routing and uncertainty probes — so flagged traces are always
+// retained and findable from the logs.
 func (s *Server) noteResilience(ctx context.Context, resp *PredictResponse) {
 	if s.tracer == nil {
 		return
@@ -604,11 +569,7 @@ func (s *Server) noteResilience(ctx context.Context, resp *PredictResponse) {
 			"events", strings.Join(resp.Fallbacks, "; "))
 	}
 	for _, ev := range resp.Resilience {
-		level := slog.LevelInfo
-		if strings.HasPrefix(ev, "safe-default:") {
-			level = slog.LevelWarn
-		}
-		s.tracer.Log(ctx, level, "resilience event", "model", resp.Model, "event", ev)
+		s.tracer.Log(ctx, slog.LevelInfo, "resilience event", "model", resp.Model, "event", ev)
 	}
 }
 
@@ -630,9 +591,10 @@ func (s *Server) recordProvenance(model *Model, feat feature.Vector, resp *Predi
 		Events:        append(append([]string{}, resp.Fallbacks...), resp.Resilience...),
 		When:          time.Now(),
 	}
-	// A hedged answer came from a different snapshot; re-derive learner
-	// detail from the version that actually answered when we still hold
-	// it, otherwise from the admitted model's link of the same name.
+	// A breaker-routed answer came from a different snapshot; re-derive
+	// learner detail from the version that actually answered when we
+	// still hold it, otherwise from the admitted model's link of the
+	// same name.
 	link := model.Link(resp.PredictorUsed)
 	if lg := s.registry.LastGood(model.Name); lg != nil && lg.Version == resp.Version {
 		if l := lg.Link(resp.PredictorUsed); l != nil {
@@ -703,18 +665,16 @@ const VersionHeader = "X-Heteromap-Model-Version"
 const RetryAfterMSHeader = "X-Heteromap-Retry-After-Ms"
 
 // RetryAfterHint estimates how long a shed caller should wait before
-// retrying, derived from the live queue depth: the number of micro-batch
-// rounds needed to drain the backlog times the per-batch deadline. A
-// saturated node thereby spreads its retry wave instead of inviting an
+// retrying, derived from the live miss load: the misses in flight times
+// the mean inference time, spread over the processors answering them.
+// A saturated node thereby spreads its retry wave instead of inviting an
 // immediate stampede.
 func (s *Server) RetryAfterHint() time.Duration {
-	depth := s.batcher.QueueDepth()
-	perRound := s.opts.Workers * s.opts.MaxBatch
-	if perRound < 1 {
-		perRound = 1
+	var d time.Duration
+	if n := s.metrics.Inference.Count(); n > 0 {
+		mean := s.metrics.Inference.Sum() / time.Duration(n)
+		d = time.Duration(len(s.admit)) * mean / time.Duration(runtime.GOMAXPROCS(0))
 	}
-	rounds := depth/perRound + 1
-	d := time.Duration(rounds) * s.opts.MaxWait
 	if d < 5*time.Millisecond {
 		d = 5 * time.Millisecond
 	}
@@ -765,26 +725,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, s.opts.RequestTimeout)
 	defer cancel()
-
-	// Fan the whole batch into the queue concurrently so the batcher
-	// can drain it as one (or a few) micro-batches.
-	resps := make([]PredictResponse, len(req.Requests))
-	done := make(chan int, len(req.Requests))
-	for i := range req.Requests {
-		go func(i int) {
-			defer func() { done <- i }()
-			resp, _, err := s.predictOne(ctx, &req.Requests[i])
-			if err != nil {
-				resps[i] = PredictResponse{Error: err.Error()}
-				return
-			}
-			resps[i] = resp
-		}(i)
-	}
-	for range req.Requests {
-		<-done
-	}
-	s.writeJSON(w, http.StatusOK, BatchResponse{Responses: resps})
+	s.writeJSON(w, http.StatusOK, BatchResponse{Responses: s.predictBatch(ctx, req.Requests)})
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -874,8 +815,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 type chaosRequest struct {
 	SlowModelRate     float64 `json:"slow_model_rate"`
 	SlowModelMS       float64 `json:"slow_model_ms"`
-	StallWorkerRate   float64 `json:"stall_worker_rate"`
-	StallWorkerMS     float64 `json:"stall_worker_ms"`
 	CorruptReloadRate float64 `json:"corrupt_reload_rate"`
 	QueueRejectRate   float64 `json:"queue_reject_rate"`
 }
@@ -894,8 +833,6 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, chaosRequest{
 			SlowModelRate:     p.SlowModelRate,
 			SlowModelMS:       float64(p.SlowModelDelay.Milliseconds()),
-			StallWorkerRate:   p.StallWorkerRate,
-			StallWorkerMS:     float64(p.StallWorkerDelay.Milliseconds()),
 			CorruptReloadRate: p.CorruptReloadRate,
 			QueueRejectRate:   p.QueueRejectRate,
 		})
@@ -908,8 +845,6 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		s.opts.Chaos.SetServeProfile(fault.ServeProfile{
 			SlowModelRate:     req.SlowModelRate,
 			SlowModelDelay:    time.Duration(req.SlowModelMS * float64(time.Millisecond)),
-			StallWorkerRate:   req.StallWorkerRate,
-			StallWorkerDelay:  time.Duration(req.StallWorkerMS * float64(time.Millisecond)),
 			CorruptReloadRate: req.CorruptReloadRate,
 			QueueRejectRate:   req.QueueRejectRate,
 		})
@@ -943,7 +878,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// some scrapers fall back to protobuf negotiation or mis-decode
 	// without it.
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w, s.cache, s.batcher.QueueDepth, s.registry.List())
+	s.metrics.WritePrometheus(w, s.cache, func() int { return len(s.admit) }, s.registry.List())
 	// The online exposition is appended after the core one so the core's
 	// byte-exact golden test stays untouched.
 	if s.opts.Online != nil {
