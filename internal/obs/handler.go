@@ -59,7 +59,9 @@ func (t *Tracer) TracesHandler() http.Handler {
 	})
 }
 
-// ExplainHandler serves provenance records at prefix+{trace-id}.
+// ExplainHandler serves provenance records at prefix+{trace-id}. Each
+// record's tree path or NN margin is derived as it is read here (see
+// ProvStore.Get), not on the serve path that recorded it.
 func (t *Tracer) ExplainHandler(prefix string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if t == nil {

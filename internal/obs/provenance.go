@@ -5,6 +5,8 @@ import (
 	"time"
 
 	"heteromap/internal/config"
+	"heteromap/internal/feature"
+	"heteromap/internal/predict"
 )
 
 // Provenance explains one served prediction after the fact: which
@@ -32,9 +34,32 @@ type Provenance struct {
 	// (the knobs were computed by an earlier request).
 	Cached bool `json:"cached"`
 	// Events lists fallback-chain degradations and resilience decisions
-	// (hedge, breaker, safe-default) in pipeline order.
+	// (breaker routing, uncertainty probes) in pipeline order.
 	Events []string  `json:"events,omitempty"`
 	When   time.Time `json:"when"`
+	// Link is the learner that answered, from the snapshot that answered
+	// (a breaker-routed answer keeps the last-known-good's link), and
+	// Features the characterization it saw. Get derives DTreePath and
+	// NNMargin from them when the record is read, so serving pays for no
+	// learner work beyond the answer itself. Holding Link pins that
+	// snapshot until the record is evicted.
+	Link     predict.Predictor `json:"-"`
+	Features feature.Vector    `json:"-"`
+}
+
+// derive fills the learner detail from Link and Features: the decision
+// path for a tree, the M1 margin for a network. A record without a
+// link (a probe answer, or one built by hand) keeps what it carries.
+func (p *Provenance) derive() {
+	switch l := p.Link.(type) {
+	case interface {
+		ExplainPredict(feature.Vector) (config.M, []string)
+	}:
+		_, p.DTreePath = l.ExplainPredict(p.Features)
+	case interface{ M1Margin(feature.Vector) float64 }:
+		margin := l.M1Margin(p.Features)
+		p.NNMargin = &margin
+	}
 }
 
 // ProvStore holds recent provenance records keyed by trace id, bounded
@@ -77,20 +102,25 @@ func (s *ProvStore) Add(p Provenance) {
 	}
 }
 
-// Get returns the records served under traceID (nil if unknown or
-// evicted).
+// Get returns copies of the records served under traceID with their
+// learner detail derived (nil if unknown or evicted). Deriving runs
+// outside the lock: explaining a 32-item network batch is 32 forward
+// passes, which must not stall the serve path's Add.
 func (s *ProvStore) Get(traceID string) []Provenance {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	recs := s.byID[traceID]
-	if len(recs) == 0 {
-		return nil
-	}
 	out := make([]Provenance, len(recs))
 	copy(out, recs)
+	s.mu.Unlock()
+	if len(out) == 0 {
+		return nil
+	}
+	for i := range out {
+		out[i].derive()
+	}
 	return out
 }
 

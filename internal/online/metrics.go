@@ -34,7 +34,7 @@ func (m *Manager) Snapshot() Snapshot {
 		dur = &d
 	}
 	return Snapshot{
-		Durable: dur,
+		Durable:    dur,
 		Ingested:   m.ingested.Load(),
 		Dropped:    m.ingest.Drops(),
 		Processed:  m.processed.Load(),

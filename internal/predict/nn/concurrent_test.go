@@ -11,9 +11,10 @@ import (
 )
 
 // A trained network must be shareable across goroutines: the serving
-// layer hands one model to a whole worker pool. Inference is pure (no
-// layer state is written), which this test proves under -race, and every
-// goroutine must see the same deterministic prediction.
+// layer answers misses, and /v1/explain derives NN margins, on many
+// request goroutines at once. Inference is pure (no layer state is
+// written), which this test proves under -race, and every goroutine must
+// see the same deterministic prediction and margin.
 func TestPredictConcurrentlySafe(t *testing.T) {
 	limits := machine.PrimaryPair().Limits()
 	net := New(limits, Options{Hidden: 16, Epochs: 4, Seed: 3})
@@ -40,8 +41,10 @@ func TestPredictConcurrentlySafe(t *testing.T) {
 		}
 	}
 	want := make([]config.M, len(queries))
+	margins := make([]float64, len(queries))
 	for i, q := range queries {
 		want[i] = net.Predict(q)
+		margins[i] = net.M1Margin(q)
 	}
 
 	var wg sync.WaitGroup
@@ -62,6 +65,10 @@ func TestPredictConcurrentlySafe(t *testing.T) {
 				}
 				if m != want[q] {
 					t.Errorf("goroutine %d: PredictChecked diverged", g)
+					return
+				}
+				if got := net.M1Margin(queries[q]); got != margins[q] {
+					t.Errorf("goroutine %d: M1Margin diverged: %v != %v", g, got, margins[q])
 					return
 				}
 			}

@@ -281,12 +281,12 @@ func (n *Network) maxWidth() int {
 // forwardInto is the inference pass, writing the output layer's
 // activations into out (len >= the output width). It is pure with
 // respect to layer state — only pooled scratch is written — so a trained
-// Network may serve concurrent Predict/PredictChecked calls (the serving
-// layer shares one model across a worker pool). Training is the only
-// mutating phase; a Network must not be trained while serving. The
-// floating-point operation order is identical to the historical
-// allocate-per-layer implementation: pooling must never change a
-// prediction bit.
+// Network may serve concurrent Predict/PredictChecked/M1Margin calls
+// (the serving layer answers misses, and derives explain detail, on many
+// request goroutines at once). Training is the only mutating phase; a
+// Network must not be trained while serving. Every activation is
+// bit-identical to the training pass's apply (see applyInto): pooling
+// and blocking must never change a prediction bit.
 func (n *Network) forwardInto(in []float64, out []float64) {
 	sc := scratchPool.Get().(*scratch)
 	sc.grow(n.maxWidth())
@@ -399,27 +399,57 @@ func (d *dense) apply(in []float64, relu bool) (out, pre []float64) {
 }
 
 // applyInto is apply writing post-activations into caller-owned (pooled)
-// storage instead of allocating, for the inference path. The accumulation
-// runs in exactly apply's order — same sum seed, same index order — so the
-// two produce bitwise-identical activations; out may hold stale values
-// from a previous batch and is fully overwritten.
+// storage instead of allocating, for the inference path. It computes four
+// outputs per pass over the input: their four independent accumulation
+// chains overlap in the pipeline, where one output at a time leaves each
+// add waiting on the one before it. A width not divisible by four
+// finishes its last outputs one at a time. Blocking changes only which
+// sums advance together, never a sum's own order: each output still
+// starts from its bias and adds its inputs in ascending index order, as
+// apply does, so the two produce bitwise-identical activations. out may
+// hold stale values from a previous batch and is fully overwritten.
 func (d *dense) applyInto(in, out []float64, relu bool) {
-	for o := 0; o < d.out; o++ {
+	// Every weight row is cut to len(in), so the inner loops index
+	// without bounds checks.
+	in = in[:d.in]
+	o := 0
+	for ; o+4 <= d.out; o += 4 {
+		w0 := d.w[o*d.in:][:len(in)]
+		w1 := d.w[(o+1)*d.in:][:len(in)]
+		w2 := d.w[(o+2)*d.in:][:len(in)]
+		w3 := d.w[(o+3)*d.in:][:len(in)]
+		s0, s1, s2, s3 := d.b[o], d.b[o+1], d.b[o+2], d.b[o+3]
+		for i, x := range in {
+			s0 += w0[i] * x
+			s1 += w1[i] * x
+			s2 += w2[i] * x
+			s3 += w3[i] * x
+		}
+		out[o] = activate(s0, relu)
+		out[o+1] = activate(s1, relu)
+		out[o+2] = activate(s2, relu)
+		out[o+3] = activate(s3, relu)
+	}
+	for ; o < d.out; o++ {
 		sum := d.b[o]
-		row := d.w[o*d.in : (o+1)*d.in]
+		row := d.w[o*d.in:][:len(in)]
 		for i, x := range in {
 			sum += row[i] * x
 		}
-		if relu {
-			if sum > 0 {
-				out[o] = sum
-			} else {
-				out[o] = 0
-			}
-		} else {
-			out[o] = sigmoid(sum)
-		}
+		out[o] = activate(sum, relu)
 	}
+}
+
+// activate applies the layer's activation to one pre-activation: ReLU
+// for hidden layers, sigmoid for the output layer.
+func activate(sum float64, relu bool) float64 {
+	if !relu {
+		return sigmoid(sum)
+	}
+	if sum > 0 {
+		return sum
+	}
+	return 0
 }
 
 // forward is the training-time pass: apply plus caching the

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -19,6 +21,8 @@ import (
 	"heteromap/internal/machine"
 	"heteromap/internal/obs"
 	"heteromap/internal/predict/dtree"
+	"heteromap/internal/predict/nn"
+	"heteromap/internal/train"
 )
 
 // ---- helpers ---------------------------------------------------------
@@ -238,6 +242,110 @@ func TestExplainReproducesServedKnobs(t *testing.T) {
 	if !reflect.DeepEqual(wantPath, p.DTreePath) {
 		t.Fatalf("re-derived path differs:\n got %v\nwant %v", p.DTreePath, wantPath)
 	}
+}
+
+// explainRecords serves /v1/explain/{traceID} in process and decodes
+// its records.
+func explainRecords(t *testing.T, h http.Handler, traceID string) []obs.Provenance {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/explain/"+traceID, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("explain %s returned %d: %s", traceID, rec.Code, rec.Body.String())
+	}
+	var body struct {
+		Predictions []obs.Provenance `json:"predictions"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	return body.Predictions
+}
+
+// An NN-served answer's nn_margin, derived when /v1/explain reads the
+// record, is bit-equal to M1Margin of the version that answered — for a
+// single miss, its cache hit, a batch-native row, a row repeated inside
+// that batch, and a breaker-routed answer on last-known-good.
+func TestExplainNNMarginMatchesAnsweringVersion(t *testing.T) {
+	pair := machine.PrimaryPair()
+	db := train.BuildDatabase(pair, train.Config{Samples: 64, Seed: 7})
+	nets := make([]*nn.Network, 2)
+	for i := range nets {
+		nets[i] = nn.New(pair.Limits(), nn.Options{Hidden: 16, Epochs: 3, Seed: int64(7 + i)})
+		if err := nets[i].Train(db.Samples); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tracer, _ := newObsTracer(1)
+	s := New(Options{Pair: pair, Tracer: tracer, BreakerThreshold: 1, BreakerCooldown: 1000})
+	defer s.Shutdown(context.Background())
+	good, err := s.Registry().Register("nn", "last-known-good", nets[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, err := s.Registry().Register("nn", "primary", nets[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	netOf := map[uint64]*nn.Network{good.Version: nets[0], primary.Version: nets[1]}
+
+	// post answers one request body at path and returns its trace id.
+	post := func(path string, body any) string {
+		t.Helper()
+		buf, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(buf)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s returned %d: %s", path, rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get(obs.TraceHeader)
+	}
+	// check requires one record per feature, in serve order, each from
+	// wantVersion with the given cached flag and a bit-exact margin.
+	check := func(what, traceID string, feats []feature.Vector, cached []bool, wantVersion uint64) {
+		t.Helper()
+		recs := explainRecords(t, h, traceID)
+		if len(recs) != len(feats) {
+			t.Fatalf("%s: %d records, want %d", what, len(recs), len(feats))
+		}
+		for i, p := range recs {
+			if p.Version != wantVersion || p.Cached != cached[i] {
+				t.Fatalf("%s record %d: v%d cached=%v, want v%d cached=%v",
+					what, i, p.Version, p.Cached, wantVersion, cached[i])
+			}
+			if p.NNMargin == nil {
+				t.Fatalf("%s record %d: no nn_margin", what, i)
+			}
+			want := netOf[p.Version].M1Margin(feats[i])
+			if math.Float64bits(*p.NNMargin) != math.Float64bits(want) {
+				t.Fatalf("%s record %d: nn_margin %v, want %v", what, i, *p.NNMargin, want)
+			}
+		}
+	}
+	req := func(f feature.Vector) PredictRequest { return PredictRequest{Model: "nn", Features: f[:]} }
+
+	f0 := testFeature(0)
+	check("single miss", post("/v1/predict", req(f0)), []feature.Vector{f0}, []bool{false}, primary.Version)
+	check("cache hit", post("/v1/predict", req(f0)), []feature.Vector{f0}, []bool{true}, primary.Version)
+
+	f1, f2 := testFeature(1), testFeature(2)
+	passes := s.Metrics().Batches.Load()
+	id := post("/v1/predict/batch", BatchRequest{Requests: []PredictRequest{req(f1), req(f2), req(f1)}})
+	if got := s.Metrics().Batches.Load() - passes; got != 1 {
+		t.Fatalf("batch ran %d inference passes, want one batch-native pass", got)
+	}
+	check("batch", id, []feature.Vector{f1, f2, f1}, []bool{false, false, true}, primary.Version)
+
+	f3 := testFeature(3)
+	if nets[0].M1Margin(f3) == nets[1].M1Margin(f3) {
+		t.Fatal("both versions share a margin; the routed case would prove nothing")
+	}
+	primary.Breaker().RecordFailure()
+	check("breaker-routed", post("/v1/predict", req(f3)), []feature.Vector{f3}, []bool{false}, good.Version)
 }
 
 // ---- acceptance: flagged slog lines resolve to retained traces -------

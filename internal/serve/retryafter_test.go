@@ -113,10 +113,8 @@ func TestSleepJitteredCapsAndRespectsDeadline(t *testing.T) {
 // node that sheds every request with a Retry-After, the client backs off
 // (counted) instead of hammering at full speed.
 func TestLoadGenHonorsRetryAfterBackoff(t *testing.T) {
-	var served int
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, _ *http.Request) {
-		served++
 		w.Header().Set("Retry-After", "1")
 		w.Header().Set(RetryAfterMSHeader, "20")
 		w.WriteHeader(http.StatusServiceUnavailable)

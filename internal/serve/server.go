@@ -23,8 +23,6 @@ import (
 	"heteromap/internal/machine"
 	"heteromap/internal/obs"
 	"heteromap/internal/online"
-	"heteromap/internal/predict/dtree"
-	"heteromap/internal/predict/nn"
 )
 
 // Options size the serving pipeline; zero values select the defaults in
@@ -574,14 +572,23 @@ func (s *Server) noteResilience(ctx context.Context, resp *PredictResponse) {
 }
 
 // recordProvenance stores the decision record served from
-// /v1/explain/{trace-id}: the exact knobs returned plus how the
-// answering learner decided (tree path or NN margin, re-derived from
-// the immutable snapshot the request resolved).
+// /v1/explain/{trace-id}: the exact knobs returned plus the answering
+// link and the features it saw, from which the store derives the tree
+// path or NN margin when the record is read.
 func (s *Server) recordProvenance(model *Model, feat feature.Vector, resp *PredictResponse) {
 	if s.tracer == nil || resp.TraceID == "" {
 		return
 	}
-	p := obs.Provenance{
+	// A breaker-routed answer came from a different snapshot; keep the
+	// link of the version that actually answered when we still hold it,
+	// otherwise the admitted model's link of the same name.
+	link := model.Link(resp.PredictorUsed)
+	if lg := s.registry.LastGood(model.Name); lg != nil && lg.Version == resp.Version {
+		if l := lg.Link(resp.PredictorUsed); l != nil {
+			link = l
+		}
+	}
+	s.tracer.Prov().Add(obs.Provenance{
 		TraceID:       resp.TraceID,
 		Model:         resp.Model,
 		Version:       resp.Version,
@@ -590,26 +597,9 @@ func (s *Server) recordProvenance(model *Model, feat feature.Vector, resp *Predi
 		Cached:        resp.Cached,
 		Events:        append(append([]string{}, resp.Fallbacks...), resp.Resilience...),
 		When:          time.Now(),
-	}
-	// A breaker-routed answer came from a different snapshot; re-derive
-	// learner detail from the version that actually answered when we
-	// still hold it, otherwise from the admitted model's link of the
-	// same name.
-	link := model.Link(resp.PredictorUsed)
-	if lg := s.registry.LastGood(model.Name); lg != nil && lg.Version == resp.Version {
-		if l := lg.Link(resp.PredictorUsed); l != nil {
-			link = l
-		}
-	}
-	switch l := link.(type) {
-	case *dtree.Tree:
-		_, path := l.ExplainPredict(feat)
-		p.DTreePath = path
-	case *nn.Network:
-		margin := l.M1Margin(feat)
-		p.NNMargin = &margin
-	}
-	s.tracer.Prov().Add(p)
+		Link:          link,
+		Features:      feat,
+	})
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
