@@ -61,9 +61,14 @@ heteromap_requests_total 1
 func TestFederateGolden(t *testing.T) {
 	var sb strings.Builder
 	FederateMetrics(&sb, federateFixture())
-	got := sb.String()
+	checkGolden(t, "federation_golden.txt", sb.String())
+}
 
-	golden := filepath.Join("testdata", "federation_golden.txt")
+// checkGolden compares got with testdata/<name> byte for byte
+// (regenerate with `go test ./internal/obs -run Golden -update`).
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -74,7 +79,7 @@ func TestFederateGolden(t *testing.T) {
 		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Fatalf("federated exposition drifted from golden:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Fatalf("exposition drifted from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, got, want)
 	}
 }
 
