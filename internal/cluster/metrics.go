@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
-	"heteromap/internal/serve"
+	"heteromap/internal/obs"
 )
 
 // RouterMetrics counts the router's routing decisions. Counters are
@@ -52,7 +50,7 @@ type RouterMetrics struct {
 
 	// RouteLatency is end-to-end routed-request latency (same bucket
 	// layout as the serve node's histograms).
-	RouteLatency *serve.Histogram
+	RouteLatency *obs.Histogram
 
 	mu     sync.Mutex
 	events []string // recent membership events, newest last
@@ -60,7 +58,7 @@ type RouterMetrics struct {
 
 // NewRouterMetrics builds an empty metrics set.
 func NewRouterMetrics() *RouterMetrics {
-	return &RouterMetrics{RouteLatency: serve.NewHistogram()}
+	return &RouterMetrics{RouteLatency: obs.NewHistogram()}
 }
 
 // maxEvents bounds the membership event log kept for /v1/cluster.
@@ -84,49 +82,42 @@ func (m *RouterMetrics) Events() []string {
 	return out
 }
 
-// WritePrometheus emits the router's metrics in Prometheus text format,
-// including a per-peer state gauge (0 live, 1 draining, 2 dead) and
-// ring-membership gauge derived from the given peer snapshot.
-func (m *RouterMetrics) WritePrometheus(w io.Writer, peers []PeerInfo) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// Families returns the router's /metrics families, including a
+// per-peer state gauge (0 live, 1 draining, 2 dead) and ring-membership
+// gauge derived from the given peer snapshot.
+func (m *RouterMetrics) Families(peers []PeerInfo) []obs.Family {
+	fams := []obs.Family{
+		obs.Counter("heteromap_router_requests_total", "Client requests accepted for routing.", m.Requests.Load()),
+		obs.Counter("heteromap_router_forwards_total", "Attempts dispatched to peers.", m.Forwards.Load()),
+		obs.Counter("heteromap_router_failovers_total", "Requests answered by a failover replica.", m.Failovers.Load()),
+		obs.Counter("heteromap_router_hedges_total", "Hedge attempts launched.", m.Hedges.Load()),
+		obs.Counter("heteromap_router_hedge_wins_total", "Hedge answers served.", m.HedgeWins.Load()),
+		obs.Counter("heteromap_router_hedge_version_skips_total", "Hedges suppressed by the version gate.", m.HedgeVersionSkips.Load()),
+		obs.Counter("heteromap_router_hedge_mixed_discards_total", "Hedge answers discarded for version mismatch.", m.HedgeMixedDiscards.Load()),
+		obs.Counter("heteromap_router_no_replica_total", "Requests refused with no live replica.", m.NoReplica.Load()),
+		obs.Counter("heteromap_router_peer_errors_total", "Hard peer failures fed to breakers.", m.PeerErrors.Load()),
+		obs.Counter("heteromap_router_http_errors_total", "Error responses returned to clients.", m.HTTPErrors.Load()),
+		obs.Counter("heteromap_router_deregistered_total", "Peers taken off the ring.", m.Deregistered.Load()),
+		obs.Counter("heteromap_router_readmitted_total", "Peers readmitted to the ring.", m.Readmitted.Load()),
+		obs.Counter("heteromap_router_chaos_node_kills_total", "Chaos-injected dead-node attempts.", m.ChaosNodeKills.Load()),
+		obs.Counter("heteromap_router_chaos_partitions_total", "Chaos-injected partitioned attempts.", m.ChaosPartitions.Load()),
+		obs.Counter("heteromap_router_chaos_slow_peers_total", "Chaos-injected slow-link attempts.", m.ChaosSlowPeers.Load()),
 	}
-	counter("heteromap_router_requests_total", "Client requests accepted for routing.", m.Requests.Load())
-	counter("heteromap_router_forwards_total", "Attempts dispatched to peers.", m.Forwards.Load())
-	counter("heteromap_router_failovers_total", "Requests answered by a failover replica.", m.Failovers.Load())
-	counter("heteromap_router_hedges_total", "Hedge attempts launched.", m.Hedges.Load())
-	counter("heteromap_router_hedge_wins_total", "Hedge answers served.", m.HedgeWins.Load())
-	counter("heteromap_router_hedge_version_skips_total", "Hedges suppressed by the version gate.", m.HedgeVersionSkips.Load())
-	counter("heteromap_router_hedge_mixed_discards_total", "Hedge answers discarded for version mismatch.", m.HedgeMixedDiscards.Load())
-	counter("heteromap_router_no_replica_total", "Requests refused with no live replica.", m.NoReplica.Load())
-	counter("heteromap_router_peer_errors_total", "Hard peer failures fed to breakers.", m.PeerErrors.Load())
-	counter("heteromap_router_http_errors_total", "Error responses returned to clients.", m.HTTPErrors.Load())
-	counter("heteromap_router_deregistered_total", "Peers taken off the ring.", m.Deregistered.Load())
-	counter("heteromap_router_readmitted_total", "Peers readmitted to the ring.", m.Readmitted.Load())
-	counter("heteromap_router_chaos_node_kills_total", "Chaos-injected dead-node attempts.", m.ChaosNodeKills.Load())
-	counter("heteromap_router_chaos_partitions_total", "Chaos-injected partitioned attempts.", m.ChaosPartitions.Load())
-	counter("heteromap_router_chaos_slow_peers_total", "Chaos-injected slow-link attempts.", m.ChaosSlowPeers.Load())
-
-	fmt.Fprintf(w, "# HELP heteromap_router_peer_state Peer lifecycle state (0 live, 1 draining, 2 dead).\n")
-	fmt.Fprintf(w, "# TYPE heteromap_router_peer_state gauge\n")
+	state := obs.Family{Name: "heteromap_router_peer_state", Help: "Peer lifecycle state (0 live, 1 draining, 2 dead).", Type: "gauge"}
+	onRing := obs.Family{Name: "heteromap_router_peer_on_ring", Help: "Whether the peer currently owns ring keyspace.", Type: "gauge"}
 	for _, p := range peers {
-		state := 0
+		var code int64
 		switch p.State {
 		case PeerDraining.String():
-			state = 1
+			code = 1
 		case PeerDead.String():
-			state = 2
+			code = 2
 		}
-		fmt.Fprintf(w, "heteromap_router_peer_state{peer=%q} %d\n", p.Addr, state)
+		peer := obs.Label{Name: "peer", Value: p.Addr}
+		state.Int(code, peer)
+		onRing.Bool(p.OnRing, peer)
 	}
-	fmt.Fprintf(w, "# HELP heteromap_router_peer_on_ring Whether the peer currently owns ring keyspace.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_router_peer_on_ring gauge\n")
-	for _, p := range peers {
-		on := 0
-		if p.OnRing {
-			on = 1
-		}
-		fmt.Fprintf(w, "heteromap_router_peer_on_ring{peer=%q} %d\n", p.Addr, on)
-	}
-	m.RouteLatency.WriteProm(w, "heteromap_router_route_latency_seconds", "")
+	latency := obs.Family{Name: "heteromap_router_route_latency_seconds", Help: "End-to-end routed-request latency.", Type: "histogram"}
+	latency.Histogram(m.RouteLatency)
+	return append(fams, state, onRing, latency)
 }

@@ -957,8 +957,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.metrics.WritePrometheus(w, rt.PeerInfos())
-	rt.slo.WritePrometheus(w)
+	// A failed write means the scraper hung up; there is no one to tell.
+	_ = obs.WriteText(w, append(rt.metrics.Families(rt.PeerInfos()), rt.slo.Families()...))
 }
 
 // handleTrace serves GET /v1/trace/{trace-id}: the router's own span

@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // NodeMetrics is one peer's /metrics scrape handed to FederateMetrics.
@@ -19,94 +15,15 @@ type NodeMetrics struct {
 	Err  error
 }
 
-// promSeries is one parsed exposition sample: name, the raw label body
-// (without braces, "" when unlabeled) and the value.
-type promSeries struct {
-	name   string
-	labels string
-	value  float64
-}
-
-// exposition is one node's parsed /metrics page.
-type exposition struct {
-	types  map[string]string // family → counter|gauge|histogram|untyped
-	helps  map[string]string
-	series []promSeries
-}
-
-// parseExposition parses Prometheus text format 0.0.4 the way this
-// repo emits it: "# TYPE"/"# HELP" comments and "name{labels} value"
-// samples with no timestamps. Unparseable lines are skipped — a
-// federating scrape must not die on one odd series.
-func parseExposition(text string) exposition {
-	ex := exposition{types: map[string]string{}, helps: map[string]string{}}
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
-				ex.types[fields[2]] = fields[3]
-			} else if len(fields) >= 4 && fields[1] == "HELP" {
-				ex.helps[fields[2]] = fields[3]
-			}
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		id := line[:sp]
-		s := promSeries{name: id, value: v}
-		if open := strings.IndexByte(id, '{'); open >= 0 {
-			if !strings.HasSuffix(id, "}") {
-				continue
-			}
-			s.name = id[:open]
-			s.labels = id[open+1 : len(id)-1]
-		}
-		ex.series = append(ex.series, s)
-	}
-	return ex
-}
-
-// familyOf maps a series name to its metric family: histogram
-// components (_bucket/_sum/_count) belong to the base name that
-// declared "# TYPE ... histogram".
-func familyOf(name string, types map[string]string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, suf); ok {
-			if types[base] == "histogram" {
-				return base
-			}
-		}
-	}
-	return name
-}
-
-// federatedFamily accumulates one metric family across nodes.
+// federatedFamily accumulates one metric family across nodes: the
+// cluster-summed series (counters and histogram components) in
+// first-appearance order, so merged histogram buckets keep their le
+// ordering, then every node's series in node order.
 type federatedFamily struct {
-	name string
-	typ  string
-	help string
-
-	// sumOrder/sums hold the cluster-summed series (counters and
-	// histogram components) keyed by "name{labels}", in first-appearance
-	// order so merged histogram buckets keep their le ordering.
-	sumOrder []string
-	sums     map[string]*promSeries
-
-	// perNode holds each node's series in that node's own order.
-	nodeOrder []string
-	perNode   map[string][]promSeries
+	Family
+	sums    []Sample
+	sumAt   map[string]int // series text -> index in sums
+	perNode []Sample
 }
 
 // FederateMetrics merges per-node /metrics scrapes into one cluster
@@ -117,93 +34,62 @@ type federatedFamily struct {
 // like exemplars) stay strictly per-node — summing a gauge across
 // nodes is a lie. Stale nodes contribute only a
 // heteromap_federation_stale{node=...} 1 marker; healthy nodes carry
-// the marker at 0 so coverage is visible.
+// the marker at 0 so coverage is visible. Pages are read by ParseText
+// and the result is written by WriteText; a write error is dropped, as
+// the caller is an HTTP response whose client has gone.
 func FederateMetrics(w io.Writer, nodes []NodeMetrics) {
 	sorted := make([]NodeMetrics, len(nodes))
 	copy(sorted, nodes)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Node < sorted[j].Node })
 
-	fmt.Fprintf(w, "# HELP heteromap_federation_stale Peers whose /metrics scrape failed this federation pass.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_federation_stale gauge\n")
+	stale := Family{Name: "heteromap_federation_stale", Help: "Peers whose /metrics scrape failed this federation pass.", Type: "gauge"}
 	for _, n := range sorted {
-		v := 0
-		if n.Err != nil {
-			v = 1
-		}
-		fmt.Fprintf(w, "heteromap_federation_stale{node=%q} %d\n", n.Node, v)
+		stale.Bool(n.Err != nil, Label{"node", n.Node})
 	}
-
-	var famOrder []string
+	var order []*federatedFamily
 	fams := map[string]*federatedFamily{}
+	var key []byte
 	for _, n := range sorted {
 		if n.Err != nil {
 			continue
 		}
-		ex := parseExposition(n.Text)
-		for _, s := range ex.series {
-			famName := familyOf(s.name, ex.types)
-			fam := fams[famName]
+		// A federating scrape must not die on one odd series: ParseText
+		// skips the line, and its error is not needed here.
+		page, _ := ParseText(n.Text)
+		for _, pf := range page {
+			if len(pf.Samples) == 0 {
+				continue
+			}
+			fam := fams[pf.Name]
 			if fam == nil {
-				fam = &federatedFamily{
-					name:    famName,
-					typ:     ex.types[famName],
-					help:    ex.helps[famName],
-					sums:    map[string]*promSeries{},
-					perNode: map[string][]promSeries{},
+				fam = &federatedFamily{Family: Family{Name: pf.Name, Help: pf.Help, Type: pf.Type}, sumAt: map[string]int{}}
+				if fam.Type == "" {
+					fam.Type = "untyped"
 				}
-				if fam.typ == "" {
-					fam.typ = "untyped"
+				fams[pf.Name] = fam
+				order = append(order, fam)
+			}
+			summed := fam.Type == "counter" || fam.Type == "histogram"
+			for _, s := range pf.Samples {
+				if summed {
+					key = appendSeries(key[:0], s.Name, s.Labels)
+					if i, ok := fam.sumAt[string(key)]; ok {
+						fam.sums[i].Value += s.Value
+					} else {
+						fam.sumAt[string(key)] = len(fam.sums)
+						fam.sums = append(fam.sums, Sample{Name: s.Name, Labels: s.Labels, Value: s.Value})
+					}
 				}
-				fams[famName] = fam
-				famOrder = append(famOrder, famName)
-			}
-			if _, seen := fam.perNode[n.Node]; !seen {
-				fam.nodeOrder = append(fam.nodeOrder, n.Node)
-			}
-			fam.perNode[n.Node] = append(fam.perNode[n.Node], s)
-			if fam.typ == "counter" || fam.typ == "histogram" {
-				key := s.name + "{" + s.labels + "}"
-				if e := fam.sums[key]; e != nil {
-					e.value += s.value
-				} else {
-					fam.sums[key] = &promSeries{name: s.name, labels: s.labels, value: s.value}
-					fam.sumOrder = append(fam.sumOrder, key)
-				}
+				labels := append(make([]Label, 0, len(s.Labels)+1), Label{"node", n.Node})
+				fam.perNode = append(fam.perNode, Sample{Name: s.Name, Labels: append(labels, s.Labels...), Value: s.Value})
 			}
 		}
 	}
-
-	for _, famName := range famOrder {
-		fam := fams[famName]
-		if fam.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", fam.name, fam.help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", fam.name, fam.typ)
-		for _, key := range fam.sumOrder {
-			s := fam.sums[key]
-			writeSample(w, s.name, s.labels, s.value)
-		}
-		for _, node := range fam.nodeOrder {
-			for _, s := range fam.perNode[node] {
-				writeSample(w, s.name, nodeLabels(node, s.labels), s.value)
-			}
-		}
+	out := make([]Family, 0, len(order)+1)
+	out = append(out, stale)
+	for _, fam := range order {
+		fam.Samples = append(fam.sums, fam.perNode...)
+		out = append(out, fam.Family)
 	}
-}
-
-// nodeLabels prefixes a raw label body with node=<addr>.
-func nodeLabels(node, labels string) string {
-	nl := "node=" + strconv.Quote(node)
-	if labels == "" {
-		return nl
-	}
-	return nl + "," + labels
-}
-
-func writeSample(w io.Writer, name, labels string, v float64) {
-	if labels == "" {
-		fmt.Fprintf(w, "%s %s\n", name, strconv.FormatFloat(v, 'g', -1, 64))
-		return
-	}
-	fmt.Fprintf(w, "%s{%s} %s\n", name, labels, strconv.FormatFloat(v, 'g', -1, 64))
+	_ = WriteText(w, out)
 }

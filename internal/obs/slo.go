@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -213,32 +211,23 @@ func (s *SLO) Exhausted() bool {
 	return s.opts.P99Latency > 0 && burnRate(latViol, total, p99AllowedFraction) >= 1
 }
 
-// WritePrometheus appends the SLO gauges to a /metrics exposition.
-func (s *SLO) WritePrometheus(w io.Writer) {
+// Families returns the SLO gauges of a /metrics page (none when s is
+// nil).
+func (s *SLO) Families() []Family {
 	if s == nil {
-		return
+		return nil
 	}
-	snap := s.Snapshot()
-	fmt.Fprintf(w, "# HELP heteromap_slo_budget_remaining Unspent fraction of the slow-window error budget.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_slo_budget_remaining gauge\n")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(w, "heteromap_slo_budget_remaining{objective=%q} %g\n", o.Name, o.BudgetRemaining)
+	budget := Family{Name: "heteromap_slo_budget_remaining", Help: "Unspent fraction of the slow-window error budget.", Type: "gauge"}
+	burn := Family{Name: "heteromap_slo_burn_rate", Help: "Error-budget burn rate per window (1 = sustainable).", Type: "gauge"}
+	alert := Family{Name: "heteromap_slo_alert_active", Help: "Multiwindow burn-rate alert state (1 = firing).", Type: "gauge"}
+	for _, o := range s.Snapshot().Objectives {
+		objective := Label{"objective", o.Name}
+		budget.Float(o.BudgetRemaining, objective)
+		burn.Float(o.FastBurn, objective, Label{"window", "fast"})
+		burn.Float(o.SlowBurn, objective, Label{"window", "slow"})
+		alert.Bool(o.AlertActive, objective)
 	}
-	fmt.Fprintf(w, "# HELP heteromap_slo_burn_rate Error-budget burn rate per window (1 = sustainable).\n")
-	fmt.Fprintf(w, "# TYPE heteromap_slo_burn_rate gauge\n")
-	for _, o := range snap.Objectives {
-		fmt.Fprintf(w, "heteromap_slo_burn_rate{objective=%q,window=\"fast\"} %g\n", o.Name, o.FastBurn)
-		fmt.Fprintf(w, "heteromap_slo_burn_rate{objective=%q,window=\"slow\"} %g\n", o.Name, o.SlowBurn)
-	}
-	fmt.Fprintf(w, "# HELP heteromap_slo_alert_active Multiwindow burn-rate alert state (1 = firing).\n")
-	fmt.Fprintf(w, "# TYPE heteromap_slo_alert_active gauge\n")
-	for _, o := range snap.Objectives {
-		v := 0
-		if o.AlertActive {
-			v = 1
-		}
-		fmt.Fprintf(w, "heteromap_slo_alert_active{objective=%q} %d\n", o.Name, v)
-	}
+	return []Family{budget, burn, alert}
 }
 
 // Handler serves the /v1/slo JSON snapshot.

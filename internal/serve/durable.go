@@ -11,6 +11,7 @@ import (
 	"heteromap/internal/config"
 	"heteromap/internal/durable"
 	"heteromap/internal/feature"
+	"heteromap/internal/obs"
 )
 
 // Serving-tier durability: the prediction cache and the registry's
@@ -246,23 +247,14 @@ func (s *Server) stopSnapshotLoop() {
 	}
 }
 
-// writeDurableMetrics appends the serving tier's durability exposition
-// (additive, after the core and online expositions).
-func (s *Server) writeDurableMetrics(w interface{ Write([]byte) (int, error) }) {
+// durableFamilies is the serving tier's durability block of /metrics.
+func (s *Server) durableFamilies() []obs.Family {
 	d := s.DurableStats()
-	fmt.Fprintf(w, "# HELP heteromap_serve_cache_restored Cache entries readmitted from the durable snapshot at startup.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_serve_cache_restored gauge\n")
-	fmt.Fprintf(w, "heteromap_serve_cache_restored %d\n", d.CacheRestored)
-	fmt.Fprintf(w, "# HELP heteromap_serve_cache_snapshots_total Periodic cache snapshots taken since start.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_serve_cache_snapshots_total counter\n")
-	fmt.Fprintf(w, "heteromap_serve_cache_snapshots_total %d\n", d.Snapshots)
-	fmt.Fprintf(w, "# HELP heteromap_serve_cache_snapshot_errors_total Failed cache snapshot attempts.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_serve_cache_snapshot_errors_total counter\n")
-	fmt.Fprintf(w, "heteromap_serve_cache_snapshot_errors_total %d\n", d.SnapshotErrors)
-	fmt.Fprintf(w, "# HELP heteromap_serve_version_floor_restored Registry version floor restored from the durable snapshot.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_serve_version_floor_restored gauge\n")
-	fmt.Fprintf(w, "heteromap_serve_version_floor_restored %d\n", d.VersionFloor)
-	fmt.Fprintf(w, "# HELP heteromap_serve_durable_quarantines_total Serving-tier artifacts quarantined for failing verification.\n")
-	fmt.Fprintf(w, "# TYPE heteromap_serve_durable_quarantines_total counter\n")
-	fmt.Fprintf(w, "heteromap_serve_durable_quarantines_total %d\n", d.Quarantines)
+	return []obs.Family{
+		obs.Gauge("heteromap_serve_cache_restored", "Cache entries readmitted from the durable snapshot at startup.", int64(d.CacheRestored)),
+		obs.Counter("heteromap_serve_cache_snapshots_total", "Periodic cache snapshots taken since start.", d.Snapshots),
+		obs.Counter("heteromap_serve_cache_snapshot_errors_total", "Failed cache snapshot attempts.", d.SnapshotErrors),
+		obs.Gauge("heteromap_serve_version_floor_restored", "Registry version floor restored from the durable snapshot.", int64(d.VersionFloor)),
+		obs.Counter("heteromap_serve_durable_quarantines_total", "Serving-tier artifacts quarantined for failing verification.", d.Quarantines),
+	}
 }

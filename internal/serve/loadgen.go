@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"heteromap/internal/algo"
+	"heteromap/internal/obs"
 )
 
 // LoadGenOptions configure a synthetic serving benchmark run.
@@ -479,84 +479,50 @@ func (r *LoadGenResult) scrapeMetrics(client *http.Client, base string) error {
 		return err
 	}
 	defer resp.Body.Close()
+	page, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return err
+	}
+	// An odd line costs only its own series, never the whole report.
+	fams, _ := obs.ParseText(string(page))
 
 	var hits, misses, batches, batchItems float64
-	var buckets []promBucket
-	stageBuckets := map[string][]promBucket{}
-	stageCounts := map[string]uint64{}
-	var stageOrder []string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "#") {
+	for _, f := range fams {
+		if len(f.Samples) == 0 {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(line, "heteromap_cache_hits_total "):
-			hits = promValue(line)
-		case strings.HasPrefix(line, "heteromap_cache_misses_total "):
-			misses = promValue(line)
-		case strings.HasPrefix(line, "heteromap_batches_total "):
-			batches = promValue(line)
-		case strings.HasPrefix(line, "heteromap_batch_items_total "):
-			batchItems = promValue(line)
-		case strings.HasPrefix(line, "heteromap_fallback_events_total "):
-			r.FallbackEvents = uint64(promValue(line))
-		case strings.HasPrefix(line, "heteromap_queue_full_total "):
-			r.QueueFullRejects = uint64(promValue(line))
-		case strings.HasPrefix(line, "heteromap_breaker_routed_total "):
-			r.BreakerRouted = uint64(promValue(line))
-		case strings.HasPrefix(line, "heteromap_deadline_drops_total "):
-			r.DeadlineDrops = uint64(promValue(line))
-		case strings.HasPrefix(line, "heteromap_chaos_slow_model_total "),
-			strings.HasPrefix(line, "heteromap_chaos_queue_rejects_total "):
-			r.ChaosInjected += uint64(promValue(line))
-		case strings.HasPrefix(line, `heteromap_request_duration_seconds_bucket{le="`):
-			rest := strings.TrimPrefix(line, `heteromap_request_duration_seconds_bucket{le="`)
-			end := strings.Index(rest, `"`)
-			if end < 0 {
-				continue
+		v := f.Samples[0].Value
+		switch f.Name {
+		case "heteromap_cache_hits_total":
+			hits = v
+		case "heteromap_cache_misses_total":
+			misses = v
+		case "heteromap_batches_total":
+			batches = v
+		case "heteromap_batch_items_total":
+			batchItems = v
+		case "heteromap_fallback_events_total":
+			r.FallbackEvents = uint64(v)
+		case "heteromap_queue_full_total":
+			r.QueueFullRejects = uint64(v)
+		case "heteromap_breaker_routed_total":
+			r.BreakerRouted = uint64(v)
+		case "heteromap_deadline_drops_total":
+			r.DeadlineDrops = uint64(v)
+		case "heteromap_chaos_slow_model_total", "heteromap_chaos_queue_rejects_total":
+			r.ChaosInjected += uint64(v)
+		case "heteromap_request_duration_seconds":
+			b := f.Buckets()
+			r.ServerP50, r.ServerP99 = seconds(obs.BucketQuantile(0.50, b)), seconds(obs.BucketQuantile(0.99, b))
+		case "heteromap_stage_duration_seconds":
+			for _, s := range f.Samples {
+				if s.Name == f.Name+"_count" {
+					b := f.Buckets(s.Labels...)
+					r.Stages = append(r.Stages, StageStat{Stage: s.Label("stage"), Count: uint64(s.Value),
+						P50: seconds(obs.BucketQuantile(0.50, b)), P99: seconds(obs.BucketQuantile(0.99, b))})
+				}
 			}
-			ub, ok := parseLE(rest[:end])
-			if !ok {
-				continue
-			}
-			buckets = append(buckets, promBucket{le: ub, count: promValue(line)})
-		case strings.HasPrefix(line, `heteromap_stage_duration_seconds_bucket{stage="`):
-			rest := strings.TrimPrefix(line, `heteromap_stage_duration_seconds_bucket{stage="`)
-			end := strings.Index(rest, `"`)
-			if end < 0 {
-				continue
-			}
-			stage := rest[:end]
-			rest = rest[end:]
-			leStart := strings.Index(rest, `le="`)
-			if leStart < 0 {
-				continue
-			}
-			rest = rest[leStart+len(`le="`):]
-			if end = strings.Index(rest, `"`); end < 0 {
-				continue
-			}
-			ub, ok := parseLE(rest[:end])
-			if !ok {
-				continue
-			}
-			if _, seen := stageBuckets[stage]; !seen {
-				stageOrder = append(stageOrder, stage)
-			}
-			stageBuckets[stage] = append(stageBuckets[stage], promBucket{le: ub, count: promValue(line)})
-		case strings.HasPrefix(line, `heteromap_stage_duration_seconds_count{stage="`):
-			rest := strings.TrimPrefix(line, `heteromap_stage_duration_seconds_count{stage="`)
-			end := strings.Index(rest, `"`)
-			if end < 0 {
-				continue
-			}
-			stageCounts[rest[:end]] = uint64(promValue(line))
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
 	}
 	if hits+misses > 0 {
 		r.CacheHitRate = hits / (hits + misses)
@@ -564,69 +530,7 @@ func (r *LoadGenResult) scrapeMetrics(client *http.Client, base string) error {
 	if batches > 0 {
 		r.MeanBatchItems = batchItems / batches
 	}
-	r.ServerP50 = quantileFromBuckets(buckets, 0.50)
-	r.ServerP99 = quantileFromBuckets(buckets, 0.99)
-	for _, stage := range stageOrder {
-		b := stageBuckets[stage]
-		r.Stages = append(r.Stages, StageStat{
-			Stage: stage,
-			Count: stageCounts[stage],
-			P50:   quantileFromBuckets(b, 0.50),
-			P99:   quantileFromBuckets(b, 0.99),
-		})
-	}
 	return nil
 }
 
-// parseLE parses a bucket upper bound; +Inf maps to the -1 sentinel.
-func parseLE(le string) (float64, bool) {
-	if le == "+Inf" {
-		return -1, true
-	}
-	ub, err := strconv.ParseFloat(le, 64)
-	return ub, err == nil
-}
-
-// promValue parses the value of a "name 123" or "name{...} 123" line.
-func promValue(line string) float64 {
-	i := strings.LastIndexByte(line, ' ')
-	if i < 0 {
-		return 0
-	}
-	v, _ := strconv.ParseFloat(line[i+1:], 64)
-	return v
-}
-
-// promBucket is one cumulative histogram bucket scraped from /metrics;
-// le = -1 marks the +Inf bucket.
-type promBucket struct{ le, count float64 }
-
-// quantileFromBuckets estimates a quantile from cumulative histogram
-// buckets, interpolating inside the bucket.
-func quantileFromBuckets(buckets []promBucket, q float64) time.Duration {
-	if len(buckets) == 0 {
-		return 0
-	}
-	total := buckets[len(buckets)-1].count
-	if total == 0 {
-		return 0
-	}
-	rank := q * total
-	lower, prevCount := 0.0, 0.0
-	for _, b := range buckets {
-		if b.count >= rank && b.count > prevCount {
-			upper := b.le
-			if upper < 0 { // +Inf bucket: report its lower bound
-				return time.Duration(lower * float64(time.Second))
-			}
-			frac := (rank - prevCount) / (b.count - prevCount)
-			sec := lower + (upper-lower)*frac
-			return time.Duration(sec * float64(time.Second))
-		}
-		if b.le >= 0 {
-			lower = b.le
-		}
-		prevCount = b.count
-	}
-	return time.Duration(lower * float64(time.Second))
-}
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }

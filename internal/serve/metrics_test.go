@@ -1,37 +1,12 @@
 package serve
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 	"time"
-)
 
-func TestHistogramObserveAndQuantile(t *testing.T) {
-	h := NewHistogram()
-	if q := h.Quantile(0.5); q != 0 {
-		t.Fatalf("empty histogram quantile = %g", q)
-	}
-	// 90 fast observations, 10 slow: p50 must land in the fast bucket's
-	// range, p99 in the slow one's.
-	for i := 0; i < 90; i++ {
-		h.Observe(20 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(80 * time.Millisecond)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("Count = %d", h.Count())
-	}
-	p50 := h.Quantile(0.50)
-	if p50 <= 0 || p50 > 25e-6 {
-		t.Fatalf("p50 = %g, want in (0, 25µs]", p50)
-	}
-	p99 := h.Quantile(0.99)
-	if p99 < 0.05 || p99 > 0.1 {
-		t.Fatalf("p99 = %g, want in [50ms, 100ms]", p99)
-	}
-}
+	"heteromap/internal/obs"
+)
 
 func TestWritePrometheusFormat(t *testing.T) {
 	m := NewMetrics()
@@ -44,9 +19,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	c.Get(ck("absent"))
 
 	var sb strings.Builder
-	m.WritePrometheus(&sb, c, func() int { return 5 }, []ModelInfo{
+	obs.WriteText(&sb, m.Families(c, func() int { return 5 }, []ModelInfo{
 		{Name: "tree", Version: 2, Breaker: "open"},
-	})
+	}))
 	out := sb.String()
 
 	for _, want := range []string{
@@ -73,8 +48,8 @@ func TestWritePrometheusFormat(t *testing.T) {
 	}
 }
 
-// The scrape parser in loadgen must invert WritePrometheus: quantiles
-// recovered from the text form agree with the histogram's own estimate.
+// The obs parser inverts the writer: the p50 estimated from the parsed
+// text agrees with the one estimated from the live histogram.
 func TestScrapeRoundTrip(t *testing.T) {
 	m := NewMetrics()
 	for i := 0; i < 200; i++ {
@@ -84,30 +59,20 @@ func TestScrapeRoundTrip(t *testing.T) {
 		m.RequestLatency.Observe(40 * time.Millisecond)
 	}
 	var sb strings.Builder
-	m.WritePrometheus(&sb, NewCache(1, 1), func() int { return 0 }, nil)
-
-	var buckets []promBucket
-	for _, line := range strings.Split(sb.String(), "\n") {
-		if !strings.HasPrefix(line, `heteromap_request_duration_seconds_bucket{le="`) {
-			continue
-		}
-		rest := strings.TrimPrefix(line, `heteromap_request_duration_seconds_bucket{le="`)
-		end := strings.Index(rest, `"`)
-		le := rest[:end]
-		b := promBucket{count: promValue(line)}
-		if le == "+Inf" {
-			b.le = -1
-		} else {
-			var err error
-			if b.le, err = strconv.ParseFloat(le, 64); err != nil {
-				t.Fatalf("bad le %q: %v", le, err)
-			}
-		}
-		buckets = append(buckets, b)
+	obs.WriteText(&sb, m.Families(NewCache(1, 1), func() int { return 0 }, nil))
+	fams, err := obs.ParseText(sb.String())
+	if err != nil {
+		t.Fatal(err)
 	}
-	p50 := quantileFromBuckets(buckets, 0.50)
-	want := time.Duration(m.RequestLatency.Quantile(0.50) * float64(time.Second))
-	if d := p50 - want; d < -time.Microsecond || d > time.Microsecond {
-		t.Fatalf("scraped p50 %v != direct %v", p50, want)
+	var buckets []obs.Bucket
+	for _, f := range fams {
+		if f.Name == "heteromap_request_duration_seconds" {
+			buckets = f.Buckets()
+		}
+	}
+	p50 := obs.BucketQuantile(0.50, buckets)
+	want := obs.BucketQuantile(0.50, m.RequestLatency.Buckets())
+	if d := p50 - want; p50 == 0 || d < -1e-6 || d > 1e-6 {
+		t.Fatalf("scraped p50 %gs != direct %gs", p50, want)
 	}
 }

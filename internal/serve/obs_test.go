@@ -466,7 +466,7 @@ func TestStageAccountingSumsToTotal(t *testing.T) {
 	}
 	for _, st := range []struct {
 		name  string
-		h     *Histogram
+		h     *obs.Histogram
 		count uint64
 	}{
 		{"cache", metrics.CacheLookup, n},

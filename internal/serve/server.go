@@ -179,6 +179,16 @@ type Server struct {
 	ln atomic.Pointer[net.Listener]
 }
 
+// readHeaderTimeout bounds how long a new connection may wait before
+// its first request's headers arrive. http.Server.Shutdown counts a
+// connection that has not yet sent a request as busy until it is 5s
+// old, so one that a router dialed but never used would otherwise hold
+// a graceful shutdown for up to 5s. An idle keep-alive connection is
+// not timed: the header timeout starts only once the next request's
+// first bytes arrive, and IdleTimeout falls back to ReadTimeout, which
+// is unset.
+const readHeaderTimeout = time.Second
+
 // New assembles a server (without listening; see Start and Handler).
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
@@ -199,7 +209,7 @@ func New(opts Options) *Server {
 		started:  time.Now(),
 		admit:    make(chan struct{}, opts.QueueSize),
 	}
-	s.http = &http.Server{Addr: opts.Addr, Handler: s.Handler()}
+	s.http = &http.Server{Addr: opts.Addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	if on := opts.Online; on != nil {
 		// The learning loop's promotion path IS the operator reload path:
 		// a shadow database goes through ReloadDBValidated with the same
@@ -868,16 +878,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// some scrapers fall back to protobuf negotiation or mis-decode
 	// without it.
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.WritePrometheus(w, s.cache, func() int { return len(s.admit) }, s.registry.List())
-	// The online exposition is appended after the core one so the core's
-	// byte-exact golden test stays untouched.
+	fams := s.metrics.Families(s.cache, func() int { return len(s.admit) }, s.registry.List())
 	if s.opts.Online != nil {
-		s.opts.Online.WritePrometheus(w)
+		fams = append(fams, s.opts.Online.Families()...)
 	}
 	if s.opts.DurableDir != "" {
-		s.writeDurableMetrics(w)
+		fams = append(fams, s.durableFamilies()...)
 	}
-	s.slo.WritePrometheus(w)
+	// A failed write means the scraper hung up; there is no one to tell.
+	_ = obs.WriteText(w, append(fams, s.slo.Families()...))
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
