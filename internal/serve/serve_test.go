@@ -324,7 +324,7 @@ func TestHotSwapUnderLoad(t *testing.T) {
 }
 
 // The load generator must run clean against a live server and report a
-// nonzero throughput and a hot cache.
+// nonzero throughput, a hot cache and the server's stage breakdown.
 func TestLoadGenAgainstServer(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	res, err := RunLoadGen(LoadGenOptions{
@@ -333,6 +333,7 @@ func TestLoadGenAgainstServer(t *testing.T) {
 		Concurrency: 4,
 		Combos:      16,
 		Seed:        7,
+		Stages:      true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +349,14 @@ func TestLoadGenAgainstServer(t *testing.T) {
 	}
 	if res.P50 <= 0 || res.ServerP50 <= 0 {
 		t.Fatalf("latency quantiles missing: %+v", res)
+	}
+	var stages []string
+	for _, st := range res.Stages {
+		stages = append(stages, st.Stage)
+	}
+	if got := strings.Join(stages, ","); got != "queue,shed,batch,cache,inference,total" ||
+		res.Stages[5].Count == 0 || res.Stages[5].P50 <= 0 {
+		t.Fatalf("server stages = %+v", res.Stages)
 	}
 	if !strings.Contains(res.String(), "throughput") {
 		t.Fatal("report missing throughput line")
