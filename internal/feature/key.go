@@ -14,17 +14,55 @@ import (
 // equal (B, I) characterizations — and only those — produce equal keys,
 // which is what lets a prediction cache front the predictor stack.
 // Components are formatted with the shortest exact float representation,
-// so ParseKey round-trips bit-for-bit.
+// so ParseKey round-trips bit-for-bit. The key is built in a stack buffer,
+// so rendering it costs the one allocation of the returned string.
 func (v Vector) Key() string {
-	var sb strings.Builder
-	sb.Grow(NumFeatures * 4)
+	var buf [maxKeyLen]byte
+	return string(v.appendKey(buf[:0]))
+}
+
+// maxKeyLen bounds a rendered key: the longest shortest-exact float64 is
+// 24 bytes ("-2.2250738585072014e-308"), plus a comma between components.
+const maxKeyLen = NumFeatures*25 - 1
+
+// gridPoints is the number of values on the default discretization grid:
+// 0, DiscretizationStep, ..., 1.
+const gridPoints = int(1/DiscretizationStep) + 1
+
+// gridText renders each default grid value float64(k)*DiscretizationStep,
+// which is exactly what stats.Discretize produces for that step. The text
+// comes from the FormatFloat call appendComponent makes off the grid, so
+// both paths write identical bytes.
+var gridText = func() (t [gridPoints]string) {
+	for k := range t {
+		t[k] = strconv.FormatFloat(float64(k)*DiscretizationStep, 'g', -1, 64)
+	}
+	return t
+}()
+
+// appendKey appends the canonical key text: every component's shortest
+// exact float representation, comma-separated.
+func (v Vector) appendKey(b []byte) []byte {
 	for i, x := range v {
 		if i > 0 {
-			sb.WriteByte(',')
+			b = append(b, ',')
 		}
-		sb.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
+		b = appendComponent(b, x)
 	}
-	return sb.String()
+	return b
+}
+
+// appendComponent appends strconv.FormatFloat(x, 'g', -1, 64), taking the
+// text from gridText when x is bitwise a default grid value (so -0 and
+// values a rounding step away from the grid are formatted).
+func appendComponent(b []byte, x float64) []byte {
+	if x >= 0 && x <= 1 {
+		k := int(x/DiscretizationStep + 0.5)
+		if math.Float64bits(float64(k)*DiscretizationStep) == math.Float64bits(x) {
+			return append(b, gridText[k]...)
+		}
+	}
+	return strconv.AppendFloat(b, x, 'g', -1, 64)
 }
 
 // ParseKey inverts Key, recovering the exact vector. Keys come in over
@@ -62,20 +100,14 @@ func ParseKey(key string) (Vector, error) {
 //
 // The value is exactly fnv64a(Key()) — ring placement, the online
 // loop's deterministic job seeding and persisted layouts all depend on
-// it — but computed by streaming each component's shortest-exact-float
-// bytes through the hash from a stack buffer, so the per-request cost
-// is zero allocations instead of materializing the key string.
+// it — but hashed from the key text in a stack buffer, so the
+// per-request cost is zero allocations instead of materializing the key
+// string.
 func (v Vector) ShardHash() uint64 {
+	var buf [maxKeyLen]byte
 	h := uint64(fnvOffset64)
-	var buf [32]byte
-	for i, x := range v {
-		if i > 0 {
-			h = (h ^ uint64(',')) * fnvPrime64
-		}
-		b := strconv.AppendFloat(buf[:0], x, 'g', -1, 64)
-		for _, c := range b {
-			h = (h ^ uint64(c)) * fnvPrime64
-		}
+	for _, c := range v.appendKey(buf[:0]) {
+		h = (h ^ uint64(c)) * fnvPrime64
 	}
 	return h
 }

@@ -3,11 +3,14 @@ package feature
 import (
 	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"heteromap/internal/algo"
+	"heteromap/internal/stats"
 )
 
 // Every catalog benchmark crossed with a spread of I vectors must
@@ -156,5 +159,77 @@ func TestShardHashTracksKeyEquality(t *testing.T) {
 	io.WriteString(h, a.Key())
 	if a.ShardHash() != h.Sum64() {
 		t.Fatalf("ShardHash %x != fnv64a(Key) %x", a.ShardHash(), h.Sum64())
+	}
+}
+
+// formatKey is the reference rendering Key must reproduce: every
+// component through strconv.FormatFloat, comma-separated.
+func formatKey(v Vector) string {
+	parts := make([]string, len(v))
+	for i, x := range v {
+		parts[i] = strconv.FormatFloat(x, 'g', -1, 64)
+	}
+	return strings.Join(parts, ",")
+}
+
+// Key takes grid values from a table and formats the rest into a stack
+// buffer; ShardHash hashes the same text. Both must match the
+// FormatFloat rendering on the grids of several steps (only the default
+// one is tabled), off them, and at the float64 extremes.
+func TestKeyMatchesFormatFloat(t *testing.T) {
+	var vals []float64
+	for _, step := range []float64{0.1, 0.05, 0.25} {
+		for i := 0; i <= 1000; i++ {
+			vals = append(vals, stats.Discretize(float64(i)/1000, step))
+		}
+	}
+	vals = append(vals,
+		0.3, 0.6, 0.7, // the decimal literals, one rounding step off 3*0.1 etc.
+		math.Copysign(0, -1), math.Nextafter(0.1, 0), math.Nextafter(0.1, 1),
+		math.Nextafter(1, 0), math.Nextafter(1, 2), 1e-7, 1e21, 0.123456789,
+		-0.1, -1, 2, 10, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -2.2250738585072014e-308,
+		math.NaN(), math.Inf(1), math.Inf(-1))
+	check := func(v Vector) {
+		t.Helper()
+		want := formatKey(v)
+		if got := v.Key(); got != want {
+			t.Fatalf("Key() = %q, want %q", got, want)
+		}
+		h := fnv.New64a()
+		io.WriteString(h, want)
+		if got := v.ShardHash(); got != h.Sum64() {
+			t.Fatalf("ShardHash of %q = %x, want fnv64a %x", want, got, h.Sum64())
+		}
+	}
+	for _, x := range vals {
+		var v Vector
+		for i := range v {
+			v[i] = x
+		}
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n < 2000; n++ {
+		var v Vector
+		for i := range v {
+			v[i] = vals[rng.Intn(len(vals))]
+		}
+		check(v)
+	}
+}
+
+var keySink string
+
+// A key costs exactly the allocation of the returned string, on the grid
+// and off it.
+func TestKeyAllocatesOnce(t *testing.T) {
+	for _, v := range []Vector{
+		Combine(MustCatalog(algo.NameBFS), IVector{0.1, 0.2, 0.3, 0.4}).Discretized(DiscretizationStep),
+		Combine(MustCatalog(algo.NameBFS), IVector{0.1, 0.2, 0.3, 0.4}),
+	} {
+		if n := testing.AllocsPerRun(1000, func() { keySink = v.Key() }); n != 1 {
+			t.Fatalf("Key(%q) allocates %.1f times per call, want 1", v.Key(), n)
+		}
 	}
 }
