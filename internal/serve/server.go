@@ -362,11 +362,11 @@ func (s *Server) Kill() {
 	go s.stopSnapshotLoop()
 }
 
-// jsonBuf is one pooled JSON scratch buffer with a bound encoder. The
-// hot handlers decode every request into and encode every response out
-// of one of these, so steady-state JSON framing reuses buffers that have
-// already grown to working-set size instead of allocating fresh ones per
-// request.
+// jsonBuf is one pooled JSON scratch buffer with a bound encoder. Every
+// handler reads its request body into one of these, and every answer
+// outside the predict wire codec is encoded into one, so steady-state
+// JSON framing reuses buffers that have already grown to working-set
+// size instead of allocating fresh ones per request.
 type jsonBuf struct {
 	buf bytes.Buffer
 	enc *json.Encoder
@@ -378,15 +378,21 @@ var jsonBufPool = sync.Pool{New: func() any {
 	return jb
 }}
 
-// decodeJSON decodes a body capped at MaxBodyBytes through a pooled
-// buffer, distinguishing oversized bodies (413) from malformed ones
-// (400).
+// decodeJSON decodes a body capped at MaxBodyBytes into v with
+// encoding/json; see decodeBody.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	return s.decodeBody(w, r, func(body []byte) error { return json.Unmarshal(body, v) })
+}
+
+// decodeBody reads a body capped at MaxBodyBytes into a pooled buffer and
+// hands it to decode, which must not keep it, distinguishing oversized
+// bodies (413) from malformed ones (400).
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func([]byte) error) (int, error) {
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	jb := jsonBufPool.Get().(*jsonBuf)
+	defer jsonBufPool.Put(jb)
 	jb.buf.Reset()
 	if _, err := jb.buf.ReadFrom(body); err != nil {
-		jsonBufPool.Put(jb)
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return http.StatusRequestEntityTooLarge,
@@ -394,9 +400,7 @@ func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) (int,
 		}
 		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
-	err := json.Unmarshal(jb.buf.Bytes(), v)
-	jsonBufPool.Put(jb)
-	if err != nil {
+	if err := decode(jb.buf.Bytes()); err != nil {
 		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
 	return http.StatusOK, nil
@@ -627,7 +631,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	_, sp := obs.StartSpan(ctx, "decode")
 	var req PredictRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
+	if status, err := s.decodeBody(w, r, func(body []byte) (err error) {
+		req, err = DecodePredictRequest(body)
+		return err
+	}); err != nil {
 		sp.EndErr(err)
 		s.errorJSON(ctx, w, status, err)
 		s.slo.Observe(status < 500, time.Since(start))
@@ -648,7 +655,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The answering model version rides a header so cluster routers can
 	// track peer registry generations without decoding the body.
 	w.Header().Set(VersionHeader, strconv.FormatUint(resp.Version, 10))
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeWire(w, func(b []byte) ([]byte, error) { return AppendPredictResponse(b, &resp) })
 	s.slo.Observe(true, time.Since(start))
 }
 
@@ -715,7 +722,10 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(obs.TraceHeader, tr.ID())
 	}
 	var req BatchRequest
-	if status, err := s.decodeJSON(w, r, &req); err != nil {
+	if status, err := s.decodeBody(w, r, func(body []byte) (err error) {
+		req, err = DecodeBatchRequest(body)
+		return err
+	}); err != nil {
 		s.errorJSON(tctx, w, status, err)
 		return
 	}
@@ -725,7 +735,8 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, s.opts.RequestTimeout)
 	defer cancel()
-	s.writeJSON(w, http.StatusOK, BatchResponse{Responses: s.predictBatch(ctx, req.Requests)})
+	resp := BatchResponse{Responses: s.predictBatch(ctx, req.Requests)}
+	s.writeWire(w, func(b []byte) ([]byte, error) { return AppendBatchResponse(b, &resp) })
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -891,23 +902,48 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	jb := jsonBufPool.Get().(*jsonBuf)
+	defer jsonBufPool.Put(jb)
 	jb.buf.Reset()
 	if err := jb.enc.Encode(v); err != nil {
-		// Unlike the old stream-to-socket encoder, nothing has been sent
-		// yet, so an unencodable value can still answer a clean 500.
-		jsonBufPool.Put(jb)
-		s.metrics.HTTPErrors.Add(1)
-		w.WriteHeader(http.StatusInternalServerError)
+		s.encodeFailed(w)
 		return
 	}
+	s.writeBody(w, status, jb.buf.Bytes())
+}
+
+// wireBufPool holds the response buffers of the predict endpoints, which
+// encode through the wire codec (codec.go) instead of encoding/json.
+var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeWire answers 200 with the bytes encode appends to a pooled buffer.
+func (s *Server) writeWire(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+	p := wireBufPool.Get().(*[]byte)
+	defer wireBufPool.Put(p)
+	b, err := encode((*p)[:0])
+	if err != nil {
+		s.encodeFailed(w)
+		return
+	}
+	*p = b
+	s.writeBody(w, http.StatusOK, b)
+}
+
+// encodeFailed answers an unencodable value. Nothing has been sent yet,
+// so it can still be a clean 500.
+func (s *Server) encodeFailed(w http.ResponseWriter) {
+	s.metrics.HTTPErrors.Add(1)
+	w.WriteHeader(http.StatusInternalServerError)
+}
+
+// writeBody sends an encoded JSON body with its length.
+func (s *Server) writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(jb.buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(jb.buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// Headers are gone; nothing more useful to do than count it.
 		s.metrics.HTTPErrors.Add(1)
 	}
-	jsonBufPool.Put(jb)
 }
 
 // errorJSON answers an error response; server-side failures (5xx) flag
