@@ -746,21 +746,31 @@ func (rt *Router) writeRouted(w http.ResponseWriter, res fwdResult, peer, route 
 	w.Write(res.body)
 }
 
-// readRequest decodes a predict request while keeping the raw bytes for
-// forwarding, and resolves its shard hash from the canonical discretized
-// feature key.
-func (rt *Router) readRequest(w http.ResponseWriter, r *http.Request) ([]byte, uint64, error) {
+// readBody reads a request body capped at MaxBodyBytes; an oversized one
+// is a 413, as on a serve node. Its errors are *routeError.
+func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			return nil, 0, &routeError{http.StatusRequestEntityTooLarge,
+			return nil, &routeError{http.StatusRequestEntityTooLarge,
 				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)}
 		}
-		return nil, 0, &routeError{http.StatusBadRequest, err}
+		return nil, &routeError{http.StatusBadRequest, err}
 	}
-	var req serve.PredictRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
+	return raw, nil
+}
+
+// readRequest decodes a predict request while keeping the raw bytes for
+// forwarding, and resolves its shard hash from the canonical discretized
+// feature key.
+func (rt *Router) readRequest(w http.ResponseWriter, r *http.Request) ([]byte, uint64, error) {
+	raw, err := rt.readBody(w, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	req, err := serve.DecodePredictRequest(raw)
+	if err != nil {
 		return nil, 0, &routeError{http.StatusBadRequest, fmt.Errorf("decode request: %w", err)}
 	}
 	feat, err := serve.ResolveFeatures(&req, rt.opts.Step)
@@ -854,13 +864,14 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		rt.errorJSON(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.opts.MaxBodyBytes))
+	raw, err := rt.readBody(w, r)
 	if err != nil {
-		rt.errorJSON(w, http.StatusBadRequest, err)
+		re := err.(*routeError)
+		rt.errorJSON(w, re.status, re.err)
 		return
 	}
-	var batch serve.BatchRequest
-	if err := json.Unmarshal(raw, &batch); err != nil {
+	batch, err := serve.DecodeBatchRequest(raw)
+	if err != nil {
 		rt.errorJSON(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
@@ -918,8 +929,13 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	rt.metrics.RouteLatency.Observe(elapsed)
 	rt.slo.Observe(true, elapsed)
+	body, err := serve.AppendBatchResponse(nil, &serve.BatchResponse{Responses: resps})
+	if err != nil {
+		rt.errorJSON(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(serve.BatchResponse{Responses: resps})
+	w.Write(body)
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {

@@ -262,6 +262,15 @@ func TestClusterBatchFansOutAcrossShards(t *testing.T) {
 	if len(br.Responses) != len(batch.Requests) {
 		t.Fatalf("batch returned %d responses for %d items", len(br.Responses), len(batch.Requests))
 	}
+	// The router writes its answer through serve's wire codec: the bytes
+	// must be what a json.Encoder writes for the same value.
+	var enc bytes.Buffer
+	if err := json.NewEncoder(&enc).Encode(br); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, enc.Bytes()) {
+		t.Fatalf("batch body differs from json.Encoder:\n got %s\nwant %s", body, enc.Bytes())
+	}
 	for i, pr := range br.Responses {
 		if pr.Error != "" {
 			t.Fatalf("batch item %d errored: %s", i, pr.Error)
@@ -367,6 +376,37 @@ func TestClusterNoLiveReplica(t *testing.T) {
 	}
 	if health.Status != "no-live-peers" {
 		t.Fatalf("router healthz status %q", health.Status)
+	}
+}
+
+// Both predict endpoints refuse a body over MaxBodyBytes with 413 and a
+// serve node's error text, before decoding it.
+func TestClusterRejectsOversizedBodies(t *testing.T) {
+	lc := startLocalT(t, LocalOptions{Nodes: 1, RouterOptions: func(o RouterOptions) RouterOptions {
+		o.MaxBodyBytes = 256
+		return o
+	}})
+	huge := `{"requests":[{"bench":"` + strings.Repeat("x", 4096) + `"}]}`
+	for _, path := range []string{"/v1/predict", "/v1/predict/batch"} {
+		resp, err := http.Post(lc.URL()+path, "application/json", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413: %s", path, resp.StatusCode, body)
+			continue
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || e.Error != "request body exceeds 256 bytes" {
+			t.Errorf("%s: body %q, want the node's body-limit error", path, body)
+		}
 	}
 }
 
