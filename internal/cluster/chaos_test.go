@@ -28,8 +28,8 @@ func TestClusterChaosStormSurvivesNodeKill(t *testing.T) {
 	})
 	rt := lc.Router
 
-	// Arm forwarding-layer chaos through the public endpoint, as the CI
-	// smoke job and `loadtest -cluster -chaos` do.
+	// Arm forwarding-layer chaos through the public endpoint, as the
+	// scenario test and `loadtest -cluster -chaos` do.
 	profile := map[string]float64{
 		"slow_peer_rate": 0.3,
 		"slow_peer_ms":   10,

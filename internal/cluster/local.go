@@ -65,9 +65,6 @@ type Local struct {
 	Router *Router
 	Nodes  []*serve.Server
 
-	nodeErr   []chan error
-	routerErr chan error
-
 	// Per-node base options and bound addresses, recorded at StartLocal
 	// so RestartNode can bring a killed node back as the same node: same
 	// address (the prober readmits it through half-open), same durable
@@ -76,38 +73,11 @@ type Local struct {
 	nodeAddrs []string
 }
 
-// startServer starts a serve.Server on an ephemeral port and waits for
-// the bind (Start listens synchronously, but from another goroutine).
-func startServer(srv *serve.Server, errCh chan error) error {
-	go func() { errCh <- srv.Start() }()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Addr() == "127.0.0.1:0" && time.Now().Before(deadline) {
-		select {
-		case err := <-errCh:
-			return fmt.Errorf("cluster: node failed to start: %w", err)
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	if srv.Addr() == "127.0.0.1:0" {
-		return fmt.Errorf("cluster: node did not bind within 2s")
-	}
-	return nil
-}
-
-// newLocalNode starts a serve node on a fixed address with the builtin
-// decision-tree model — the restart half of recovery tests, where a
-// killed node's replacement must come up on the old address for the
-// prober to readmit it.
-func newLocalNode(addr string) (*serve.Server, error) {
-	return newLocalNodeOpts(serve.Options{Addr: addr})
-}
-
-// newLocalNodeOpts is newLocalNode with full serve options: the restart
-// path uses it to revive a node with its original durability settings,
-// running the recovery ladder before the listener accepts traffic so
-// the first probe already sees the warmed cache.
-func newLocalNodeOpts(opts serve.Options) (*serve.Server, error) {
-	addr := opts.Addr
+// startNode starts a serve node with the builtin decision-tree model.
+// A node with a durable directory runs the recovery ladder before its
+// listener accepts traffic, so the first probe already sees the warmed
+// cache.
+func startNode(opts serve.Options) (*serve.Server, error) {
 	srv := serve.New(opts)
 	pair := machine.PrimaryPair()
 	if _, err := srv.Registry().Register("tree", "builtin decision tree", dtree.New(pair.Limits())); err != nil {
@@ -116,23 +86,33 @@ func newLocalNodeOpts(opts serve.Options) (*serve.Server, error) {
 	if opts.DurableDir != "" {
 		srv.RecoverDurable()
 	}
+	if err := listenAndWait(srv.Start, srv.Addr); err != nil {
+		srv.Kill() // stops the snapshot loop RecoverDurable started
+		return nil, fmt.Errorf("cluster: node: %w", err)
+	}
+	return srv, nil
+}
+
+// listenAndWait runs start (a blocking Start) in the background and
+// waits until addr accepts connections. Before the bind, addr reports
+// the configured address; an ephemeral ":0" accepts none.
+func listenAndWait(start func() error, addr func() string) error {
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Start() }()
+	go func() { errCh <- start() }()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		select {
 		case err := <-errCh:
-			return nil, fmt.Errorf("cluster: node failed to start on %s: %w", addr, err)
+			return fmt.Errorf("failed to start: %w", err)
 		default:
 		}
-		c, err := net.Dial("tcp", addr)
-		if err == nil {
+		if c, err := net.Dial("tcp", addr()); err == nil {
 			c.Close()
-			return srv, nil
+			return nil
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(2 * time.Millisecond)
 	}
-	return nil, fmt.Errorf("cluster: node did not bind %s within 2s", addr)
+	return fmt.Errorf("did not bind %s within 2s", addr())
 }
 
 // StartLocal boots an in-process cluster and blocks until every node and
@@ -140,7 +120,6 @@ func newLocalNodeOpts(opts serve.Options) (*serve.Server, error) {
 func StartLocal(opts LocalOptions) (*Local, error) {
 	opts = opts.withDefaults()
 	lc := &Local{}
-	pair := machine.PrimaryPair()
 	for i := 0; i < opts.Nodes; i++ {
 		sopts := serve.Options{Addr: "127.0.0.1:0"}
 		if opts.Chaos {
@@ -149,32 +128,19 @@ func StartLocal(opts LocalOptions) (*Local, error) {
 		if opts.NodeOptions != nil {
 			sopts = opts.NodeOptions(i, sopts)
 		}
-		srv := serve.New(sopts)
-		if _, err := srv.Registry().Register("tree", "builtin decision tree", dtree.New(pair.Limits())); err != nil {
-			lc.Stop()
-			return nil, err
-		}
-		if sopts.DurableDir != "" {
-			srv.RecoverDurable()
-		}
-		errCh := make(chan error, 1)
-		if err := startServer(srv, errCh); err != nil {
+		srv, err := startNode(sopts)
+		if err != nil {
 			lc.Stop()
 			return nil, err
 		}
 		lc.Nodes = append(lc.Nodes, srv)
-		lc.nodeErr = append(lc.nodeErr, errCh)
 		lc.nodeOpts = append(lc.nodeOpts, sopts)
 		lc.nodeAddrs = append(lc.nodeAddrs, srv.Addr())
 	}
 
-	peers := make([]string, len(lc.Nodes))
-	for i, n := range lc.Nodes {
-		peers[i] = n.Addr()
-	}
 	ropts := RouterOptions{
 		Addr:          "127.0.0.1:0",
-		Peers:         peers,
+		Peers:         lc.nodeAddrs,
 		Replicas:      opts.Replicas,
 		ProbeInterval: opts.ProbeInterval,
 		HedgeAfter:    opts.HedgeAfter,
@@ -191,16 +157,9 @@ func StartLocal(opts LocalOptions) (*Local, error) {
 		return nil, err
 	}
 	lc.Router = rt
-	lc.routerErr = make(chan error, 1)
-	go func() { lc.routerErr <- rt.Start() }()
-	deadline := time.Now().Add(2 * time.Second)
-	for rt.Addr() == "127.0.0.1:0" && time.Now().Before(deadline) {
-		select {
-		case err := <-lc.routerErr:
-			lc.Stop()
-			return nil, fmt.Errorf("cluster: router failed to start: %w", err)
-		case <-time.After(2 * time.Millisecond):
-		}
+	if err := listenAndWait(rt.Start, rt.Addr); err != nil {
+		lc.Stop()
+		return nil, fmt.Errorf("cluster: router: %w", err)
 	}
 	return lc, nil
 }
@@ -232,7 +191,7 @@ func (lc *Local) RestartNode(i int) error {
 	var err error
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		srv, err = newLocalNodeOpts(opts)
+		srv, err = startNode(opts)
 		if err == nil || time.Now().After(deadline) {
 			break
 		}

@@ -138,6 +138,32 @@ func TestClusterTracePropagatesAcrossNodes(t *testing.T) {
 		t.Fatalf("healthy request reported gaps: %+v", tl.Gaps)
 	}
 	assertCausalTimeline(t, tl)
+
+	// A batch through the router is one trace with a primary hop per item.
+	batch := serve.BatchRequest{Requests: []serve.PredictRequest{clusterReq(2), clusterReq(3), clusterReq(4)}}
+	resp, body = postJSON(t, lc.URL()+"/v1/predict/batch", batch)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	id = resp.Header.Get(obs.TraceHeader)
+	if id == "" {
+		t.Fatalf("router batch response carries no %s header", obs.TraceHeader)
+	}
+	status, tl = fetchTimeline(t, lc.URL(), id)
+	if status != http.StatusOK {
+		t.Fatalf("/v1/trace/%s for a batch: status %d", id, status)
+	}
+	primaries := 0
+	for _, s := range tl.Spans {
+		if s.Name == "forward:primary" {
+			primaries++
+		}
+	}
+	if primaries != len(batch.Requests) {
+		t.Fatalf("batch timeline has %d forward:primary spans, want one per item (%d): %+v",
+			primaries, len(batch.Requests), tl.Spans)
+	}
+	assertCausalTimeline(t, tl)
 }
 
 // TestClusterTraceSurvivesChaosStorm drives the trace pipeline through
@@ -489,5 +515,26 @@ func TestClusterSLOEndpointAndGauges(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("router /metrics missing %q:\n%s", want, metrics)
 		}
+	}
+
+	// With every node dead, a batch whose items all fail upstream is one
+	// failed round trip: it must spend availability budget.
+	for i := range lc.Nodes {
+		lc.KillNode(i)
+	}
+	resp, batchBody := postJSON(t, lc.URL()+"/v1/predict/batch",
+		serve.BatchRequest{Requests: []serve.PredictRequest{clusterReq(0), clusterReq(1)}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch with dead nodes: status %d: %s", resp.StatusCode, batchBody)
+	}
+	code, body = getText(t, lc.URL()+"/v1/slo")
+	if code != http.StatusOK {
+		t.Fatalf("/v1/slo status %d", code)
+	}
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if v := snap.Objectives[0].Violations; v == 0 {
+		t.Fatalf("failed batch spent no availability budget: %+v", snap.Objectives[0])
 	}
 }

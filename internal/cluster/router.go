@@ -149,7 +149,7 @@ type Router struct {
 	slo     *obs.SLO    // nil when SLO tracking is disabled
 
 	mu   sync.Mutex // guards ring read-modify-write
-	ring atomicRing
+	ring atomic.Pointer[Ring]
 
 	http *http.Server
 	// ln is set once by Start and read by Addr, commonly from the
@@ -159,24 +159,6 @@ type Router struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
-}
-
-// atomicRing is a minimal atomic holder for immutable *Ring snapshots.
-type atomicRing struct {
-	mu sync.RWMutex
-	r  *Ring
-}
-
-func (a *atomicRing) load() *Ring {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.r
-}
-
-func (a *atomicRing) store(r *Ring) {
-	a.mu.Lock()
-	a.r = r
-	a.mu.Unlock()
 }
 
 // NewRouter assembles a router over the given peers (without listening;
@@ -213,7 +195,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	for a := range rt.peers {
 		addrs = append(addrs, a)
 	}
-	rt.ring.store(New(addrs, opts.VNodes))
+	rt.ring.Store(New(addrs, opts.VNodes))
 	rt.http = &http.Server{Addr: opts.Addr, Handler: rt.Handler()}
 	rt.wg.Add(1)
 	go rt.proberLoop()
@@ -224,14 +206,14 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 func (rt *Router) Metrics() *RouterMetrics { return rt.metrics }
 
 // Ring returns the current ring snapshot.
-func (rt *Router) Ring() *Ring { return rt.ring.load() }
+func (rt *Router) Ring() *Ring { return rt.ring.Load() }
 
 // Peer returns a peer by address (nil when unknown).
 func (rt *Router) Peer(addr string) *Peer { return rt.peers[addr] }
 
 // PeerInfos describes every peer for /v1/cluster, sorted by address.
 func (rt *Router) PeerInfos() []PeerInfo {
-	ring := rt.ring.load()
+	ring := rt.ring.Load()
 	out := make([]PeerInfo, 0, len(rt.peers))
 	for _, addr := range New(rt.opts.Peers, 1).Nodes() { // canonical sorted order
 		p := rt.peers[addr]
@@ -307,13 +289,13 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 func (rt *Router) deregister(p *Peer, state PeerState, reason string) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ring := rt.ring.load()
+	ring := rt.ring.Load()
 	if !ring.Has(p.Addr) {
 		p.setState(state)
 		return
 	}
 	p.setState(state)
-	rt.ring.store(ring.Without(p.Addr))
+	rt.ring.Store(ring.Without(p.Addr))
 	rt.metrics.Deregistered.Add(1)
 	rt.metrics.noteEvent(fmt.Sprintf("deregistered %s: %s", p.Addr, reason))
 }
@@ -324,9 +306,9 @@ func (rt *Router) readmit(p *Peer) {
 	defer rt.mu.Unlock()
 	p.breaker.RecordSuccess() // closes the circuit
 	p.setState(PeerLive)
-	ring := rt.ring.load()
+	ring := rt.ring.Load()
 	if !ring.Has(p.Addr) {
-		rt.ring.store(ring.With(p.Addr))
+		rt.ring.Store(ring.With(p.Addr))
 		rt.metrics.Readmitted.Add(1)
 		rt.metrics.noteEvent("readmitted " + p.Addr)
 	}
@@ -374,9 +356,13 @@ func (rt *Router) probeOne(client *http.Client, p *Peer) {
 			// Requests may have opened the breaker between probes; a
 			// sustained-open breaker means the peer is deregistered even
 			// though /healthz still answers (e.g. the predict path is
-			// wedged while the mux lives).
-			if p.breaker.State() == fault.BreakerOpen {
-				rt.deregister(p, PeerDead, "request breaker open")
+			// wedged while the mux lives). A half-open one is taken off
+			// too: routeOne admits every owner before it knows which it
+			// will use, so a hedge candidate admitted for the half-open
+			// trial and never sent would otherwise refuse all traffic
+			// for good. Readmission closes the breaker.
+			if st := p.breaker.State(); st != fault.BreakerClosed {
+				rt.deregister(p, PeerDead, "request breaker "+st.String())
 			}
 		}
 	case PeerDraining:
@@ -652,7 +638,7 @@ func (rt *Router) hedgedForward(ctx context.Context, primary, hedge *Peer, body 
 // replica group, the failover ladder walks it (hedged primary first,
 // then sequential failover), and the first usable answer wins.
 func (rt *Router) routeOne(ctx context.Context, body []byte, hash uint64) (fwdResult, string, string) {
-	owners := rt.ring.load().Lookup(hash, rt.opts.Replicas)
+	owners := rt.ring.Load().Lookup(hash, rt.opts.Replicas)
 	cands := make([]*Peer, 0, len(owners))
 	for _, addr := range owners {
 		p := rt.peers[addr]
@@ -795,29 +781,6 @@ func (rt *Router) errorJSON(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// startRequestTrace opens the router's trace for one inbound request,
-// adopting a propagated trace id (anti-loop guarded by HopHeader) the
-// same way a serve node does — a request may arrive via another router.
-func (rt *Router) startRequestTrace(r *http.Request, name string) (context.Context, *obs.Trace) {
-	inbound := r.Header.Get(obs.TraceHeader)
-	hop := r.Header.Get(obs.HopHeader)
-	if hop != "" {
-		if n, err := strconv.Atoi(hop); err != nil || n < 0 || n >= obs.MaxHops {
-			inbound = ""
-		}
-	}
-	ctx, tr := rt.tracer.StartTraceID(r.Context(), name, inbound)
-	if tr != nil && inbound != "" && tr.ID() == inbound {
-		if ps := r.Header.Get(obs.ParentSpanHeader); ps != "" {
-			tr.SetAttr("parent_span", ps)
-		}
-		if hop != "" {
-			tr.SetAttr("hop", hop)
-		}
-	}
-	return ctx, tr
-}
-
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		rt.errorJSON(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
@@ -825,7 +788,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.metrics.Requests.Add(1)
 	start := time.Now()
-	rctx, tr := rt.startRequestTrace(r, "route")
+	rctx, tr := rt.tracer.StartRequestTrace(r, "route")
 	defer tr.Finish()
 	body, hash, err := rt.readRequest(w, r)
 	if err != nil {
@@ -864,6 +827,8 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		rt.errorJSON(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
+	rctx, tr := rt.tracer.StartRequestTrace(r, "route-batch")
+	defer tr.Finish()
 	raw, err := rt.readBody(w, r)
 	if err != nil {
 		re := err.(*routeError)
@@ -880,14 +845,20 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.metrics.Requests.Add(uint64(len(batch.Requests)))
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(rctx, rt.opts.RequestTimeout)
 	defer cancel()
+	if tr != nil {
+		w.Header().Set(obs.TraceHeader, tr.ID())
+	}
 
 	// Batch items shard independently, so they fan out to their owning
 	// nodes concurrently and reassemble positionally — the cluster
-	// analog of the single-node batch endpoint's queue fan-in.
+	// analog of the single-node batch endpoint's queue fan-in. An item
+	// whose ladder ended in a transport error or a 5xx fails the whole
+	// round trip for the SLO, as one failed item would for a client.
 	start := time.Now()
 	resps := make([]serve.PredictResponse, len(batch.Requests))
+	var serverFailed atomic.Bool
 	var wg sync.WaitGroup
 	for i := range batch.Requests {
 		wg.Add(1)
@@ -906,6 +877,7 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			res, _, _ := rt.routeOne(ctx, body, feat.ShardHash())
 			if !res.ok() {
+				serverFailed.Store(true)
 				msg := fmt.Sprintf("cluster: upstream status %d", res.status)
 				if res.err != nil {
 					msg = res.err.Error()
@@ -926,9 +898,13 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
+	failed := serverFailed.Load()
+	if failed {
+		tr.Keep(obs.Flag5xx)
+	}
 	elapsed := time.Since(start)
 	rt.metrics.RouteLatency.Observe(elapsed)
-	rt.slo.Observe(true, elapsed)
+	rt.slo.Observe(!failed, elapsed)
 	body, err := serve.AppendBatchResponse(nil, &serve.BatchResponse{Responses: resps})
 	if err != nil {
 		rt.errorJSON(w, http.StatusInternalServerError, err)
@@ -939,7 +915,7 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	ring := rt.ring.load()
+	ring := rt.ring.Load()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
 		"peers":    rt.PeerInfos(),
@@ -967,7 +943,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"role":       "router",
 		"peers":      len(rt.peers),
 		"live_peers": live,
-		"ring_size":  rt.ring.load().Len(),
+		"ring_size":  rt.ring.Load().Len(),
 	})
 }
 
@@ -998,25 +974,23 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 		rec := recs[0]
 		parts[0].Rec = &rec
 	}
-
 	// Every configured peer is asked, dead or not — a peer that answers
 	// its probe as dead may still hold the spans we need, and one that
 	// truly cannot answer becomes a peer-unreachable gap, not an error.
-	addrs := make([]string, 0, len(rt.peers))
-	for a := range rt.peers {
-		addrs = append(addrs, a)
+	for _, pg := range rt.getPeers(r.Context(), "/debug/traces?id="+id+"&limit=1") {
+		nt := obs.NodeTrace{Node: pg.addr, Err: pg.err}
+		if pg.err == nil {
+			var env struct {
+				Traces []obs.TraceRecord `json:"traces"`
+			}
+			if err := json.Unmarshal(pg.body, &env); err != nil {
+				nt.Err = err
+			} else if len(env.Traces) > 0 {
+				nt.Rec = &env.Traces[0]
+			}
+		}
+		parts = append(parts, nt)
 	}
-	results := make([]obs.NodeTrace, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			results[i] = rt.scrapeTrace(addr, id)
-		}(i, addr)
-	}
-	wg.Wait()
-	parts = append(parts, results...)
 
 	tl := obs.Stitch(id, parts)
 	if len(tl.Spans) == 0 {
@@ -1029,95 +1003,70 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(tl)
 }
 
-// scrapeTrace fetches one peer's retained record for a trace id.
-func (rt *Router) scrapeTrace(addr, id string) obs.NodeTrace {
-	nt := obs.NodeTrace{Node: addr}
-	ctx, cancel := context.WithTimeout(context.Background(), scrapeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		"http://"+addr+"/debug/traces?id="+id+"&limit=1", nil)
-	if err != nil {
-		nt.Err = err
-		return nt
+// handleMetricsCluster serves GET /metrics/cluster: every peer's
+// /metrics scraped concurrently, re-labeled with node=<addr> and merged
+// (counters summed, histograms bucket-merged, gauges per-node). A peer
+// that cannot be scraped degrades to a heteromap_federation_stale
+// marker — federation never answers 5xx because one node is down.
+func (rt *Router) handleMetricsCluster(w http.ResponseWriter, r *http.Request) {
+	pages := rt.getPeers(r.Context(), "/metrics")
+	nodes := make([]obs.NodeMetrics, len(pages))
+	for i, pg := range pages {
+		nodes[i] = obs.NodeMetrics{Node: pg.addr, Text: string(pg.body), Err: pg.err}
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		nt.Err = err
-		return nt
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		nt.Err = fmt.Errorf("status %d", resp.StatusCode)
-		return nt
-	}
-	var env struct {
-		Traces []obs.TraceRecord `json:"traces"`
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes)).Decode(&env); err != nil {
-		nt.Err = err
-		return nt
-	}
-	if len(env.Traces) > 0 {
-		nt.Rec = &env.Traces[0]
-	}
-	return nt
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	obs.FederateMetrics(w, nodes)
 }
 
 // scrapeTimeout bounds one federation or trace-stitch scrape: a dead
 // peer costs one second of one goroutine, never the whole response.
 const scrapeTimeout = time.Second
 
-// handleMetricsCluster serves GET /metrics/cluster: every peer's
-// /metrics scraped concurrently, re-labeled with node=<addr> and merged
-// (counters summed, histograms bucket-merged, gauges per-node). A peer
-// that cannot be scraped degrades to a heteromap_federation_stale
-// marker — federation never answers 5xx because one node is down.
-func (rt *Router) handleMetricsCluster(w http.ResponseWriter, _ *http.Request) {
-	addrs := make([]string, 0, len(rt.peers))
-	for a := range rt.peers {
-		addrs = append(addrs, a)
-	}
-	nodes := make([]obs.NodeMetrics, len(addrs))
-	var wg sync.WaitGroup
-	for i, addr := range addrs {
-		wg.Add(1)
-		go func(i int, addr string) {
-			defer wg.Done()
-			nodes[i] = rt.scrapeMetricsNode(addr)
-		}(i, addr)
-	}
-	wg.Wait()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	obs.FederateMetrics(w, nodes)
+// peerPage is one peer's answer to a fanned-out GET: the body of a 200,
+// or the error that stood in for it.
+type peerPage struct {
+	addr string
+	body []byte
+	err  error
 }
 
-// scrapeMetricsNode fetches one peer's /metrics page.
-func (rt *Router) scrapeMetricsNode(addr string) obs.NodeMetrics {
-	nm := obs.NodeMetrics{Node: addr}
-	ctx, cancel := context.WithTimeout(context.Background(), scrapeTimeout)
+// getPeers GETs path from every configured peer concurrently and waits
+// for all of them; each GET is bounded by scrapeTimeout.
+func (rt *Router) getPeers(ctx context.Context, path string) []peerPage {
+	pages := make([]peerPage, 0, len(rt.peers))
+	for addr := range rt.peers {
+		pages = append(pages, peerPage{addr: addr})
+	}
+	var wg sync.WaitGroup
+	for i := range pages {
+		wg.Add(1)
+		go func(pg *peerPage) {
+			defer wg.Done()
+			pg.body, pg.err = rt.getPeer(ctx, pg.addr, path)
+		}(&pages[i])
+	}
+	wg.Wait()
+	return pages
+}
+
+// getPeer GETs one peer's page, capped at MaxBodyBytes; any status but
+// 200 is an error.
+func (rt *Router) getPeer(ctx context.Context, addr, path string) ([]byte, error) {
+	ctx, cancel := context.WithTimeout(ctx, scrapeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+path, nil)
 	if err != nil {
-		nm.Err = err
-		return nm
+		return nil, err
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		nm.Err = err
-		return nm
+		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
-	if err != nil {
-		nm.Err = err
-		return nm
-	}
 	if resp.StatusCode != http.StatusOK {
-		nm.Err = fmt.Errorf("status %d", resp.StatusCode)
-		return nm
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	nm.Text = string(data)
-	return nm
+	return io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
 }
 
 // clusterChaosRequest is the router's /v1/chaos body; rates in [0,1],

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"heteromap/internal/fault"
 	"heteromap/internal/serve"
 )
 
@@ -206,7 +207,7 @@ func TestClusterReadmitsRecoveredPeer(t *testing.T) {
 
 	// Restart a fresh node on the same address — the recovery the
 	// health-probe half-open path exists for.
-	replacement, err := newLocalNode(victim)
+	replacement, err := startNode(serve.Options{Addr: victim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,4 +466,38 @@ func TestClusterEndpointsExposeMembership(t *testing.T) {
 			t.Fatalf("router metrics missing %q:\n%s", want, mbody)
 		}
 	}
+}
+
+// TestClusterHealsUnusedHalfOpenTrial covers a replica whose breaker
+// went half-open because routeOne admitted it as a hedge candidate that
+// was never sent: the prober must take it off and readmit it closed,
+// not leave a live peer that refuses every request.
+func TestClusterHealsUnusedHalfOpenTrial(t *testing.T) {
+	lc := startLocalT(t, LocalOptions{Nodes: 2, ProbeInterval: 20 * time.Millisecond,
+		RouterOptions: func(ro RouterOptions) RouterOptions {
+			ro.BreakerThreshold, ro.BreakerCooldown = 1, 1
+			return ro
+		}})
+	rt := lc.Router
+	replica := rt.Peer(lc.NodeAddr(1))
+	replica.Breaker().RecordFailure() // opens it (threshold 1)
+	for i, served := 0, 0; served < 3; i++ {
+		req := clusterReq(i)
+		feat, err := serve.ResolveFeatures(&req, 0.1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.Ring().Lookup(feat.ShardHash(), 1)[0] != lc.NodeAddr(0) {
+			continue
+		}
+		// Node 0 answers first try; the replica was admitted, unused.
+		if resp, body := postJSON(t, lc.URL()+"/v1/predict", req); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		served++
+	}
+	waitFor(t, 3*time.Second, "the replica back on the ring with a closed breaker", func() bool {
+		return replica.State() == PeerLive && rt.Ring().Has(replica.Addr) &&
+			replica.Breaker().State() == fault.BreakerClosed
+	})
 }

@@ -4,16 +4,14 @@ package fault
 // layer. A kill-point arms one named write target ("store", "wal",
 // "snapshot", "cache", ...) with a byte offset; the durable writer dies
 // with durable.ErrKilled after emitting exactly that many bytes, so a
-// test or the crash-smoke harness can place a simulated power cut at
-// any byte of any artifact and then prove recovery. WriteKill has the
+// test can place a simulated power cut at any byte of any artifact and
+// then prove recovery. WriteKill has the
 // exact shape of durable.KillFunc — pass in.WriteKill as the Kill
 // option of any durable-aware component.
 //
 // Unlike the probabilistic serve faults, kill-points are not drawn:
 // a crash at byte 17 of the WAL either is the scenario under test or
-// it is not. Determinism comes from the caller choosing the offset
-// (the crash-smoke job randomizes it from its own seeded source and
-// logs it for replay).
+// it is not. Determinism comes from the caller choosing the offset.
 
 // ArmWriteKill arms the named write target: the next durable write to
 // it dies after offset bytes. Re-arming replaces the previous offset;

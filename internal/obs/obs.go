@@ -19,6 +19,8 @@ import (
 	"encoding/hex"
 	"log/slog"
 	mrand "math/rand"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -258,6 +260,37 @@ func (t *Tracer) StartTraceID(ctx context.Context, name, id string) (context.Con
 	tr.nextID = 1
 	tr.root = root
 	return context.WithValue(ctx, ctxKey{}, root), tr
+}
+
+// StartRequestTrace opens the trace for one inbound HTTP request,
+// adopting a propagated TraceHeader id so /v1/trace/{id} can stitch
+// this process's spans into the caller's timeline. The forwarded
+// ParentSpanHeader and HopHeader are recorded as the parent_span and
+// hop trace attributes; a hop count that does not parse, or is at or
+// past MaxHops, refuses adoption so a forwarding loop cannot extend one
+// trace forever. A nil tracer returns the request context and a nil
+// trace.
+func (t *Tracer) StartRequestTrace(r *http.Request, name string) (context.Context, *Trace) {
+	if t == nil {
+		return r.Context(), nil
+	}
+	inbound := r.Header.Get(TraceHeader)
+	hop := r.Header.Get(HopHeader)
+	if hop != "" {
+		if n, err := strconv.Atoi(hop); err != nil || n < 0 || n >= MaxHops {
+			inbound = ""
+		}
+	}
+	ctx, tr := t.StartTraceID(r.Context(), name, inbound)
+	if inbound != "" && tr.ID() == inbound {
+		if ps := r.Header.Get(ParentSpanHeader); ps != "" {
+			tr.SetAttr("parent_span", ps)
+		}
+		if hop != "" {
+			tr.SetAttr("hop", hop)
+		}
+	}
+	return ctx, tr
 }
 
 // ValidTraceID reports whether id is safe to adopt from the wire:

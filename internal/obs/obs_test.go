@@ -369,3 +369,35 @@ func TestTraceIDUniqueness(t *testing.T) {
 		}
 	}
 }
+
+// TestStartRequestTraceHopGuard pins inbound trace adoption: a
+// propagated id is joined with its parent span and hop recorded, a hop
+// count at MaxHops or one that does not parse mints a fresh id, and a
+// nil tracer hands back the request context.
+func TestStartRequestTraceHopGuard(t *testing.T) {
+	tracer := NewTracer(Options{})
+	const inbound = "abc-1"
+	for _, c := range []struct {
+		hop   string
+		adopt bool
+	}{{"", true}, {"3", true}, {fmt.Sprint(MaxHops), false}, {"x", false}} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+		r.Header.Set(TraceHeader, inbound)
+		r.Header.Set(ParentSpanHeader, "7")
+		if c.hop != "" {
+			r.Header.Set(HopHeader, c.hop)
+		}
+		_, tr := tracer.StartRequestTrace(r, "predict")
+		if got := tr.ID() == inbound; got != c.adopt {
+			t.Fatalf("hop %q: adopted=%v, want %v (id %q)", c.hop, got, c.adopt, tr.ID())
+		}
+		if c.adopt && (tr.Attr("parent_span") != "7" || tr.Attr("hop") != c.hop) {
+			t.Fatalf("hop %q: attrs parent_span=%q hop=%q", c.hop, tr.Attr("parent_span"), tr.Attr("hop"))
+		}
+	}
+	var off *Tracer
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
+	if ctx, tr := off.StartRequestTrace(r, "predict"); tr != nil || ctx != r.Context() {
+		t.Fatalf("nil tracer: trace %v, context replaced", tr)
+	}
+}

@@ -127,7 +127,7 @@ type Options struct {
 	ShadowDir string
 	// MutateShadow, when set, edits the shadow file after it is written
 	// and before promotion — the corruption seam the quarantine tests
-	// and the CI smoke use to prove a bad retrain never serves.
+	// use to prove a bad retrain never serves.
 	MutateShadow func(path string) error
 
 	// Realize overrides the machine-model execution (tests only).

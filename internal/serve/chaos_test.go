@@ -199,7 +199,7 @@ func TestRequestAdmissionLimits(t *testing.T) {
 
 // Under seeded rotating chaos the server keeps answering: availability
 // stays at or above 99%, latency stays bounded, faults actually fired,
-// and /healthz still answers 200 afterwards — the chaos-smoke criterion.
+// and /healthz still answers 200 afterwards.
 func TestChaosLoadGenAvailability(t *testing.T) {
 	inj := fault.NewServeInjector(23)
 	_, ts := newTestServer(t, Options{Chaos: inj})

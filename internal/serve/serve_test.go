@@ -150,14 +150,15 @@ func TestHealthzAndMetricsEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	var health struct {
-		Status string `json:"status"`
-		Models int    `json:"models"`
+		Status          string `json:"status"`
+		Models          int    `json:"models"`
+		RegistryVersion uint64 `json:"registry_version"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || health.Status != "ok" || health.Models != 1 {
+	if resp.StatusCode != http.StatusOK || health.Status != "ok" || health.Models != 1 || health.RegistryVersion != 1 {
 		t.Fatalf("healthz = %d %+v", resp.StatusCode, health)
 	}
 
@@ -358,8 +359,8 @@ func TestLoadGenAgainstServer(t *testing.T) {
 		res.Stages[5].Count == 0 || res.Stages[5].P50 <= 0 {
 		t.Fatalf("server stages = %+v", res.Stages)
 	}
-	if !strings.Contains(res.String(), "throughput") {
-		t.Fatal("report missing throughput line")
+	if report := res.String(); !strings.Contains(report, "throughput") || !strings.Contains(report, "server stages") {
+		t.Fatalf("report missing the throughput or server stages lines:\n%s", report)
 	}
 
 	// Batch mode exercises /v1/predict/batch.

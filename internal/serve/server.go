@@ -253,32 +253,6 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // SLO returns the server's SLO tracker (nil when disabled).
 func (s *Server) SLO() *obs.SLO { return s.slo }
 
-// startRequestTrace opens the request trace, adopting an inbound
-// X-Heteromap-Trace id when a router forwarded the request — that is
-// what lets /v1/trace/{id} stitch this process's spans into the
-// caller's timeline. The forwarded parent span id and hop count are
-// recorded as trace attributes; a hop count at or past obs.MaxHops
-// refuses adoption so a forwarding loop cannot extend forever.
-func (s *Server) startRequestTrace(r *http.Request, name string) (context.Context, *obs.Trace) {
-	inbound := r.Header.Get(obs.TraceHeader)
-	hop := r.Header.Get(obs.HopHeader)
-	if hop != "" {
-		if n, err := strconv.Atoi(hop); err != nil || n < 0 || n >= obs.MaxHops {
-			inbound = ""
-		}
-	}
-	ctx, tr := s.tracer.StartTraceID(r.Context(), name, inbound)
-	if tr != nil && inbound != "" && tr.ID() == inbound {
-		if ps := r.Header.Get(obs.ParentSpanHeader); ps != "" {
-			tr.SetAttr("parent_span", ps)
-		}
-		if hop != "" {
-			tr.SetAttr("hop", hop)
-		}
-	}
-	return ctx, tr
-}
-
 // Handler returns the API mux (usable under httptest without a socket).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -624,7 +598,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.metrics.InFlight.Add(1)
 	defer s.metrics.InFlight.Add(-1)
 	start := time.Now()
-	ctx, tr := s.startRequestTrace(r, "predict")
+	ctx, tr := s.tracer.StartRequestTrace(r, "predict")
 	defer tr.Finish()
 	if tr != nil {
 		w.Header().Set(obs.TraceHeader, tr.ID())
@@ -716,7 +690,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	// provenance records attach to it. The SLO sees the round trip once,
 	// matching how the availability floor counts requests.
 	defer func() { s.slo.Observe(true, time.Since(start)) }()
-	tctx, tr := s.startRequestTrace(r, "predict-batch")
+	tctx, tr := s.tracer.StartRequestTrace(r, "predict-batch")
 	defer tr.Finish()
 	if tr != nil {
 		w.Header().Set(obs.TraceHeader, tr.ID())
