@@ -112,7 +112,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chaosSeed := fs.Int64("chaos-seed", 42, "deterministic seed for -chaos fault injection")
 	addr := fs.String("addr", "127.0.0.1:8080", "serve: listen address")
 	cacheSize := fs.Int("cache-size", 4096, "serve: prediction cache capacity")
-	queueSize := fs.Int("queue", 1024, "serve: cache misses answered concurrently; more are shed with 503")
+	queueSize := fs.Int("queue", 1024, "serve: miss passes answered concurrently, one per request's misses under one model; more are shed with 503")
 	canarySet := fs.String("canary-set", "", "serve: golden-set JSON file gating /v1/reload (empty: record one from the default model at startup)")
 	reloadSLO := fs.Duration("reload-slo", 10*time.Millisecond, "serve: per-prediction canary latency budget for /v1/reload (0 disables)")
 	chaosServe := fs.Bool("chaos-serve", false, "serve: enable the serve-path chaos injector and /v1/chaos endpoint")

@@ -96,19 +96,6 @@ func (c *Chain) SelectCtx(ctx context.Context, f feature.Vector) Selection {
 	return Selection{M: c.Default.Clamp(c.Limits), Used: c.DefaultLabel, Fallbacks: events}
 }
 
-// BatchCapable reports whether the chain's primary predictor can answer
-// many rows in one pass. The serve layer checks it before sending a
-// batch request's distinct misses through SelectBatchCtx.
-func (c *Chain) BatchCapable() bool {
-	for _, p := range c.Predictors {
-		if p != nil {
-			_, ok := p.(predict.BatchPredictor)
-			return ok
-		}
-	}
-	return false
-}
-
 // SelectBatchCtx consults the chain for many rows at once, filling
 // dst[i] with the selection for feats[i] (dst must hold len(feats)
 // entries). When the primary predictor is batch-capable and every row of
@@ -117,11 +104,10 @@ func (c *Chain) BatchCapable() bool {
 // validation, same clamp — under one consult span instead of one per
 // row. Any batch error, panic or invalid row abandons the batch answer
 // and re-derives every row through the per-item path, so batching can
-// change latency but never results.
+// change latency but never results. A single row, or a chain whose
+// primary is not batch-capable, goes through SelectCtx, so a one-row
+// pass consults exactly as a single Select does.
 func (c *Chain) SelectBatchCtx(ctx context.Context, feats []feature.Vector, dst []Selection) {
-	if len(feats) == 0 {
-		return
-	}
 	var primary predict.Predictor
 	for _, p := range c.Predictors {
 		if p != nil {
@@ -129,7 +115,7 @@ func (c *Chain) SelectBatchCtx(ctx context.Context, feats []feature.Vector, dst 
 			break
 		}
 	}
-	if bp, ok := primary.(predict.BatchPredictor); ok {
+	if bp, ok := primary.(predict.BatchPredictor); ok && len(feats) > 1 {
 		_, sp := obs.StartSpan(ctx, "consult:"+primary.Name())
 		ms := make([]config.M, len(feats))
 		err := tryPredictBatch(bp, feats, ms)

@@ -113,19 +113,6 @@ func (c *Cache) Get(key CacheKey) (cachedPrediction, bool) {
 	return val, ok
 }
 
-// GetFast is PredictCached's lookup: a hit counts as usual, but a miss
-// counts nothing — the caller re-issues through the full predict path,
-// whose lookup records the miss exactly once. Without the split every
-// such miss would be double-counted and the reported hit ratio would
-// understate the cache.
-func (c *Cache) GetFast(key CacheKey) (cachedPrediction, bool) {
-	val, ok := c.lookup(key)
-	if ok {
-		c.hits.Add(1)
-	}
-	return val, ok
-}
-
 func (c *Cache) lookup(key CacheKey) (cachedPrediction, bool) {
 	s := c.shard(key)
 	s.mu.Lock()

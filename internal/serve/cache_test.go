@@ -73,28 +73,6 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 	}
 }
 
-// GetFast must count hits exactly like Get but never count a miss: a
-// PredictCached miss is re-issued through the full predict path, whose
-// lookup records it — counting both would double every miss.
-func TestCacheGetFastCountsHitsOnly(t *testing.T) {
-	c := NewCache(4, 1)
-	if _, ok := c.GetFast(ck("a")); ok {
-		t.Fatal("hit on empty cache")
-	}
-	hits, misses, _ := c.Stats()
-	if hits != 0 || misses != 0 {
-		t.Fatalf("after fast miss: hits=%d misses=%d, want 0/0", hits, misses)
-	}
-	c.Put(ck("a"), cachedPrediction{Used: "tree"})
-	if v, ok := c.GetFast(ck("a")); !ok || v.Used != "tree" {
-		t.Fatalf("fast hit: %+v ok=%v", v, ok)
-	}
-	hits, misses, _ = c.Stats()
-	if hits != 1 || misses != 0 {
-		t.Fatalf("after fast hit: hits=%d misses=%d, want 1/0", hits, misses)
-	}
-}
-
 // PurgeModel removes every version of exactly the named model.
 func TestCachePurgeModel(t *testing.T) {
 	c := NewCache(16, 4)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -59,6 +60,98 @@ func TestBreakerOpensAndRoutesToLastGood(t *testing.T) {
 	want := "heteromap_model_breaker_state{model=\"live\",version=\"2\"} 1"
 	if !strings.Contains(rec.Body.String(), want) {
 		t.Fatalf("tripped breaker not visible in /metrics: missing %q", want)
+	}
+}
+
+// A batch on a version whose breaker is open runs one pass on
+// last-known-good: every row carries that version and the breaker event,
+// each routed row is counted, and the open version's predictor is never
+// called. Each row's events are its own, so appending to one answer's
+// events, as observeOnline does, leaves every other answer alone.
+func TestBatchBreakerOpenRoutesOnePass(t *testing.T) {
+	pair := machine.PrimaryPair()
+	s := New(Options{Pair: pair, BreakerThreshold: 1, BreakerCooldown: 1000})
+	limits := pair.Limits()
+	good, _ := s.Registry().Register("live", "v1", fixedPred{m: config.DefaultGPU(limits)})
+	openPred := &countingPred{m: config.DefaultMulticore(limits)}
+	primary, _ := s.Registry().Register("live", "v2", openPred)
+	primary.Breaker().RecordFailure()
+	if st := primary.Breaker().State(); st != fault.BreakerOpen {
+		t.Fatalf("breaker = %s after a failure at threshold 1", st)
+	}
+
+	const rows = 4
+	reqs := make([]PredictRequest, rows)
+	for i := range reqs {
+		f := testFeature(i)
+		reqs[i] = PredictRequest{Model: "live", Features: f[:]}
+	}
+	resps, failed := s.predictBatch(context.Background(), reqs)
+	if failed {
+		t.Fatal("routed batch reported a failed item")
+	}
+	event := fmt.Sprintf("breaker: live@v%d open, routed to last-known-good live@v%d",
+		primary.Version, good.Version)
+	for i, r := range resps {
+		if r.Error != "" {
+			t.Fatalf("row %d errored: %s", i, r.Error)
+		}
+		if r.Version != good.Version || r.M != config.DefaultGPU(limits) {
+			t.Fatalf("row %d answered by version %d with %v, want last-known-good %d", i, r.Version, r.M, good.Version)
+		}
+		if len(r.Resilience) != 1 || r.Resilience[0] != event {
+			t.Fatalf("row %d: resilience %q, want [%q]", i, r.Resilience, event)
+		}
+	}
+	for i := range resps {
+		resps[i].Resilience = append(resps[i].Resilience, fmt.Sprint("probe ", i))
+	}
+	for i, r := range resps {
+		if len(r.Resilience) != 2 || r.Resilience[0] != event || r.Resilience[1] != fmt.Sprint("probe ", i) {
+			t.Fatalf("row %d: resilience %q after every row appended its own event", i, r.Resilience)
+		}
+	}
+	m := s.Metrics()
+	if m.Batches.Load() != 1 || m.BreakerRouted.Load() != rows {
+		t.Fatalf("%d passes and %d routed rows, want 1 pass routing %d rows",
+			m.Batches.Load(), m.BreakerRouted.Load(), rows)
+	}
+	if calls := openPred.calls.Load(); calls != 0 {
+		t.Fatalf("the open version's predictor ran %d times", calls)
+	}
+}
+
+// Slow-model chaos is drawn once per pass: a batch of cold rows on a
+// chaos-armed server runs one pass and stalls it once.
+func TestBatchChaosSlowModelOnePass(t *testing.T) {
+	inj := fault.NewServeInjector(7)
+	inj.SetServeProfile(fault.ServeProfile{SlowModelRate: 1, SlowModelDelay: time.Millisecond})
+	pair := machine.PrimaryPair()
+	pred := &countingPred{m: config.DefaultGPU(pair.Limits())}
+	s := missServer(t, Options{Pair: pair, Chaos: inj}, pred)
+
+	const rows = 4
+	reqs := make([]PredictRequest, rows)
+	for i := range reqs {
+		f := testFeature(i)
+		reqs[i] = PredictRequest{Model: "live", Features: f[:]}
+	}
+	resps, failed := s.predictBatch(context.Background(), reqs)
+	for i, r := range resps {
+		if r.Error != "" || r.Cached {
+			t.Fatalf("row %d: cached %v error %q, want its own inference", i, r.Cached, r.Error)
+		}
+	}
+	if failed {
+		t.Fatal("batch reported a failed item")
+	}
+	m := s.Metrics()
+	if m.Batches.Load() != 1 || m.BatchItems.Load() != rows || m.ChaosSlowModel.Load() != 1 {
+		t.Fatalf("%d passes answering %d items with %d injected stalls, want 1 pass answering %d with 1 stall",
+			m.Batches.Load(), m.BatchItems.Load(), m.ChaosSlowModel.Load(), rows)
+	}
+	if calls := pred.calls.Load(); calls != rows {
+		t.Fatalf("%d inferences, want %d", calls, rows)
 	}
 }
 

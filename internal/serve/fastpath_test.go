@@ -37,10 +37,24 @@ func TestPredictCachedZeroAlloc(t *testing.T) {
 		t.Fatalf("PredictCached allocated %.1f times per call, want 0", n)
 	}
 
-	// The miss path is allocation-free too — a cold probe must not pay
-	// for the answer it does not produce.
+	// A cold call reads through the same lookup as every other: it
+	// counts one cache miss, and no request, since nothing was answered.
 	var cold feature.Vector
 	cold[5] = 0.9
+	_, missesBefore, _ := s.cache.Stats()
+	requestsBefore := s.Metrics().Requests.Load()
+	if _, _, _, ok := s.PredictCached("tree", cold); ok {
+		t.Fatal("cold key hit the cache")
+	}
+	if _, misses, _ := s.cache.Stats(); misses != missesBefore+1 {
+		t.Fatalf("cold call counted %d cache misses, want 1", misses-missesBefore)
+	}
+	if got := s.Metrics().Requests.Load(); got != requestsBefore {
+		t.Fatalf("cold call counted %d requests, want 0", got-requestsBefore)
+	}
+
+	// The miss path is allocation-free too — a cold probe must not pay
+	// for the answer it does not produce.
 	n = testing.AllocsPerRun(1000, func() {
 		if _, _, _, ok := s.PredictCached("tree", cold); ok {
 			t.Fatal("cold key hit the cache")

@@ -237,8 +237,8 @@ func TestBatcherContextCancel(t *testing.T) {
 }
 
 // A batch row repeated inside the request shares the first one's
-// inference on the per-item path (a model that is not batch-capable)
-// and reports Cached, as a pre-warmed row does.
+// inference and reports Cached, as a pre-warmed row does. The model is
+// not batch-capable, so its one pass consults the rows one by one.
 func TestBatchRepeatedRowSharesInference(t *testing.T) {
 	pair := machine.PrimaryPair()
 	pred := &countingPred{m: config.DefaultGPU(pair.Limits())}
@@ -254,7 +254,7 @@ func TestBatchRepeatedRowSharesInference(t *testing.T) {
 		f := testFeature(r)
 		reqs[i] = PredictRequest{Model: "live", Features: f[:]}
 	}
-	resps := s.predictBatch(context.Background(), reqs)
+	resps, _ := s.predictBatch(context.Background(), reqs)
 	if len(resps) != len(rows) {
 		t.Fatalf("batch answered %d of %d rows", len(resps), len(rows))
 	}
@@ -274,9 +274,152 @@ func TestBatchRepeatedRowSharesInference(t *testing.T) {
 		t.Fatalf("%d inferences, want 3", calls)
 	}
 	m := s.Metrics()
-	if m.Batches.Load() != 3 || m.BatchItems.Load() != 6 {
-		t.Fatalf("inference metrics: %d passes answering %d items, want 3 passes answering 6",
+	if m.Batches.Load() != 2 || m.BatchItems.Load() != 6 {
+		t.Fatalf("inference metrics: %d passes answering %d items, want 2 passes answering 6",
 			m.Batches.Load(), m.BatchItems.Load())
+	}
+}
+
+// blockOnPred answers at once, except for the feature block: its
+// inference signals entered and waits for release. It counts the
+// inferences of each feature.
+type blockOnPred struct {
+	m       config.M
+	block   feature.Vector
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+
+	mu    sync.Mutex
+	calls map[feature.Vector]int
+}
+
+func newBlockOnPred(t *testing.T, block feature.Vector) *blockOnPred {
+	p := &blockOnPred{
+		m:       config.DefaultGPU(machine.PrimaryPair().Limits()),
+		block:   block,
+		entered: make(chan struct{}, 1),
+		release: make(chan struct{}),
+		calls:   make(map[feature.Vector]int),
+	}
+	t.Cleanup(p.open)
+	return p
+}
+
+func (p *blockOnPred) open()        { p.once.Do(func() { close(p.release) }) }
+func (p *blockOnPred) Name() string { return "BlockOn" }
+func (p *blockOnPred) Predict(f feature.Vector) config.M {
+	p.mu.Lock()
+	p.calls[f]++
+	p.mu.Unlock()
+	if f == p.block {
+		p.entered <- struct{}{}
+		<-p.release
+	}
+	return p.m
+}
+
+func (p *blockOnPred) callsFor(f feature.Vector) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.calls[f]
+}
+
+// A batch answers the rows it leads before it waits on rows that other
+// requests lead. A single request leads A and is parked in the
+// predictor; a batch [A, X] then follows A's flight, yet X is inferred
+// and served from the cache while A is still blocked. Once A is
+// released, the batch answers A as a follower and X from its own
+// inference, with one inference of each.
+func TestBatchLandsBeforeWaiting(t *testing.T) {
+	a := testFeature(3).Discretized(feature.DiscretizationStep)
+	x := testFeature(4).Discretized(feature.DiscretizationStep)
+	pred := newBlockOnPred(t, a)
+	s := missServer(t, Options{}, pred)
+
+	single := make(chan error, 1)
+	go func() {
+		_, _, err := predictFeat(context.Background(), s, "live", a)
+		single <- err
+	}()
+	<-pred.entered // the single request leads A and is parked
+
+	batch := make(chan []PredictResponse, 1)
+	go func() {
+		resps, _ := s.predictBatch(context.Background(), []PredictRequest{
+			{Model: "live", Features: a[:]},
+			{Model: "live", Features: x[:]},
+		})
+		batch <- resps
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if _, _, _, ok := s.PredictCached("live", x); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("X was not served from the cache while the batch waited on A")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-batch:
+		t.Fatal("batch answered while A was still blocked")
+	default:
+	}
+
+	pred.open()
+	if err := <-single; err != nil {
+		t.Fatalf("single request: %v", err)
+	}
+	resps := <-batch
+	if r := resps[0]; r.Error != "" || !r.Cached {
+		t.Fatalf("A: cached %v error %q, want the single request's answer", r.Cached, r.Error)
+	}
+	if r := resps[1]; r.Error != "" || r.Cached {
+		t.Fatalf("X: cached %v error %q, want the batch's own inference", r.Cached, r.Error)
+	}
+	if na, nx := pred.callsFor(a), pred.callsFor(x); na != 1 || nx != 1 {
+		t.Fatalf("inferences: A %d, X %d, want one each", na, nx)
+	}
+}
+
+// A led row answered before its deadline keeps its answer when the call
+// then waits past the deadline on a row another request leads: only the
+// followed row gets 504.
+func TestBatchDeadlineSparesLedRows(t *testing.T) {
+	a := testFeature(3).Discretized(feature.DiscretizationStep)
+	x := testFeature(4).Discretized(feature.DiscretizationStep)
+	pred := newBlockOnPred(t, a)
+	s := missServer(t, Options{}, pred)
+
+	single := make(chan error, 1)
+	go func() {
+		_, _, err := predictFeat(context.Background(), s, "live", a)
+		single <- err
+	}()
+	<-pred.entered // the single request leads A and is parked
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	resps, failed := s.predictBatch(ctx, []PredictRequest{
+		{Model: "live", Features: a[:]},
+		{Model: "live", Features: x[:]},
+	})
+	if want := context.DeadlineExceeded.Error(); resps[0].Error != want {
+		t.Fatalf("A: error %q, want %q", resps[0].Error, want)
+	}
+	if r := resps[1]; r.Error != "" || r.Cached {
+		t.Fatalf("X: cached %v error %q, want the batch's own answer", r.Cached, r.Error)
+	}
+	if !failed {
+		t.Fatal("a batch with a 504 row did not report a failed item")
+	}
+	if got := s.Metrics().DeadlineDrops.Load(); got != 1 {
+		t.Fatalf("DeadlineDrops = %d, want 1", got)
+	}
+	pred.open()
+	if err := <-single; err != nil {
+		t.Fatalf("single request: %v", err)
 	}
 }
 

@@ -42,16 +42,6 @@ func (m *Model) Select(f feature.Vector) fault.Selection {
 	return m.chain.Select(f)
 }
 
-// SelectCtx is Select with request tracing attached: each chain link
-// consulted appears as a span on the ctx's trace.
-func (m *Model) SelectCtx(ctx context.Context, f feature.Vector) fault.Selection {
-	return m.chain.SelectCtx(ctx, f)
-}
-
-// BatchCapable reports whether the chain's primary predictor answers
-// many rows in one pass (implements predict.BatchPredictor).
-func (m *Model) BatchCapable() bool { return m.chain.BatchCapable() }
-
 // SelectBatchCtx consults the chain once for many rows; see
 // fault.Chain.SelectBatchCtx for the equivalence contract.
 func (m *Model) SelectBatchCtx(ctx context.Context, feats []feature.Vector, dst []fault.Selection) {

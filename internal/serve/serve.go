@@ -13,12 +13,13 @@
 //     version plus the discretized (B, I) feature key — the paper's
 //     0.1-step discretization makes the key space finite, so realistic
 //     traffic repeats keys and hit rates are high;
-//   - a miss is answered inline on the request's own goroutine: a
-//     non-blocking admission semaphore sheds overload with 503,
-//     concurrent identical misses share one inference, and a miss whose
-//     deadline passes before its answer gets 504; a batch request sends
-//     its distinct misses through one batch-native pass when the model
-//     supports it;
+//   - misses are answered inline on the request's own goroutine, a
+//     single request's one miss and a batch's distinct misses alike: a
+//     non-blocking admission semaphore sheds overload with 503, every
+//     miss joins a singleflight so concurrent identical misses share one
+//     inference, the misses a request leads share one pass through the
+//     model's chain, and a miss whose deadline passes before its answer
+//     gets 504;
 //   - a Metrics layer (atomic counters + latency histograms) exposes the
 //     whole pipeline in Prometheus text format on /metrics.
 //

@@ -39,8 +39,10 @@ type Options struct {
 	// CacheSize / CacheShards size the prediction cache (4096 / 16).
 	CacheSize   int
 	CacheShards int
-	// QueueSize bounds the cache misses answered concurrently (1024); a
-	// miss beyond it is shed with 503 and a Retry-After hint.
+	// QueueSize bounds the miss passes answered concurrently (1024). A
+	// single request's miss takes one slot, and so do a batch's misses
+	// under one model snapshot; a pass beyond the bound is shed with 503
+	// and a Retry-After hint.
 	QueueSize int
 	// Step is the feature discretization increment
 	// (feature.DiscretizationStep).
@@ -165,7 +167,7 @@ type Server struct {
 	draining atomic.Bool
 
 	// admit is the miss-path admission semaphore (QueueSize slots); its
-	// length is the number of misses in flight.
+	// length is the number of miss passes in flight.
 	admit chan struct{}
 	// flights deduplicates concurrent identical misses (miss.go).
 	flights flightGroup
@@ -380,10 +382,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func(
 	return http.StatusOK, nil
 }
 
-// predictOne answers one request: resolve, the cache, and on a miss the
-// inline miss path (miss.go). The returned status is the HTTP code an
-// error should carry. When ctx carries a trace, each stage is recorded
-// as a span and the served answer leaves a provenance record behind.
+// predictOne answers one request: resolve, the cache, and on a miss a
+// one-row answerMisses call (miss.go). The returned status is the HTTP
+// code an error should carry. When ctx carries a trace, each stage is
+// recorded as a span and the served answer leaves a provenance record
+// behind.
 func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictResponse, int, error) {
 	rctx, sp := obs.StartSpan(ctx, "resolve")
 	feat, err := ResolveFeatures(req, s.opts.Step)
@@ -408,10 +411,12 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 	s.metrics.CacheLookup.ObserveTraced(dur, obs.TraceID(ctx))
 	obs.AddSpan(ctx, "cache", start, dur, obs.Attr{Key: "hit", Value: strconv.FormatBool(hit)})
 	if !hit {
-		var status int
-		if resp, status, err = s.miss(ctx, model, feat, key); err != nil {
-			return PredictResponse{}, status, err
+		row := []missRow{{feat: feat, key: key}}
+		s.answerMisses(ctx, model, row)
+		if row[0].err != nil {
+			return PredictResponse{}, row[0].status, row[0].err
 		}
+		resp = row[0].resp
 	}
 	s.finish(ctx, model, feat, &resp, start)
 	return resp, http.StatusOK, nil
@@ -470,18 +475,16 @@ func (s *Server) finish(ctx context.Context, model *Model, feat feature.Vector, 
 // /v1/predict and is guaranteed allocation-free — the hmbench
 // serve/predict-cachehit target and TestPredictCachedZeroAlloc gate it
 // at exactly zero allocs per call. A cold key reports ok=false without
-// touching the miss path (and without counting a cache miss; callers
-// fall back to the full path, which counts it once).
+// touching the miss path: its lookup counts one cache miss, like every
+// other lookup, and no request.
 func (s *Server) PredictCached(model string, feat feature.Vector) (m config.M, used string, version uint64, ok bool) {
 	mod, err := s.registry.Get(model)
 	if err != nil {
 		return config.M{}, "", 0, false
 	}
 	start := time.Now()
-	val, hit := s.cache.GetFast(cacheKeyFor(mod, feat))
+	val, hit := s.cache.Get(cacheKeyFor(mod, feat))
 	if !hit {
-		// Not counted as a request (or a miss): the caller re-issues
-		// through the full path, which does both exactly once.
 		return config.M{}, "", 0, false
 	}
 	dur := time.Since(start)
@@ -629,8 +632,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// The answering model version rides a header so cluster routers can
 	// track peer registry generations without decoding the body.
 	w.Header().Set(VersionHeader, strconv.FormatUint(resp.Version, 10))
-	s.writeWire(w, func(b []byte) ([]byte, error) { return AppendPredictResponse(b, &resp) })
-	s.slo.Observe(true, time.Since(start))
+	ok := s.writeWire(w, func(b []byte) ([]byte, error) { return AppendPredictResponse(b, &resp) })
+	s.slo.Observe(ok, time.Since(start))
 }
 
 // VersionHeader carries the registry version of the model that answered
@@ -646,8 +649,8 @@ const VersionHeader = "X-Heteromap-Model-Version"
 const RetryAfterMSHeader = "X-Heteromap-Retry-After-Ms"
 
 // RetryAfterHint estimates how long a shed caller should wait before
-// retrying, derived from the live miss load: the misses in flight times
-// the mean inference time, spread over the processors answering them.
+// retrying, derived from the live miss load: the miss passes in flight
+// times the mean pass time, spread over the processors answering them.
 // A saturated node thereby spreads its retry wave instead of inviting an
 // immediate stampede.
 func (s *Server) RetryAfterHint() time.Duration {
@@ -688,8 +691,11 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	// One trace covers the whole batch; every item's spans and
 	// provenance records attach to it. The SLO sees the round trip once,
-	// matching how the availability floor counts requests.
-	defer func() { s.slo.Observe(true, time.Since(start)) }()
+	// matching how the availability floor counts requests: a batch with
+	// an item that failed with a 5xx status, or whose answer could not be
+	// encoded, counts against it.
+	ok := true
+	defer func() { s.slo.Observe(ok, time.Since(start)) }()
 	tctx, tr := s.tracer.StartRequestTrace(r, "predict-batch")
 	defer tr.Finish()
 	if tr != nil {
@@ -709,8 +715,12 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(tctx, s.opts.RequestTimeout)
 	defer cancel()
-	resp := BatchResponse{Responses: s.predictBatch(ctx, req.Requests)}
-	s.writeWire(w, func(b []byte) ([]byte, error) { return AppendBatchResponse(b, &resp) })
+	resps, failed := s.predictBatch(ctx, req.Requests)
+	resp := BatchResponse{Responses: resps}
+	ok = s.writeWire(w, func(b []byte) ([]byte, error) { return AppendBatchResponse(b, &resp) }) && !failed
+	if !ok {
+		obs.KeepTrace(ctx, obs.Flag5xx)
+	}
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
@@ -889,17 +899,20 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // encode through the wire codec (codec.go) instead of encoding/json.
 var wireBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeWire answers 200 with the bytes encode appends to a pooled buffer.
-func (s *Server) writeWire(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+// writeWire answers 200 with the bytes encode appends to a pooled
+// buffer. It reports false when encoding failed and a 500 went out
+// instead.
+func (s *Server) writeWire(w http.ResponseWriter, encode func([]byte) ([]byte, error)) bool {
 	p := wireBufPool.Get().(*[]byte)
 	defer wireBufPool.Put(p)
 	b, err := encode((*p)[:0])
 	if err != nil {
 		s.encodeFailed(w)
-		return
+		return false
 	}
 	*p = b
 	s.writeBody(w, http.StatusOK, b)
+	return true
 }
 
 // encodeFailed answers an unencodable value. Nothing has been sent yet,
