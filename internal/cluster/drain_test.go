@@ -37,6 +37,11 @@ func TestClusterGracefulDrainZeroFiveHundreds(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	stopLoad := func() {
+		stop.Store(true)
+		wg.Wait()
+	}
+	defer stopLoad() // a timed-out wait must not leave the clients running
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -60,9 +65,18 @@ func TestClusterGracefulDrainZeroFiveHundreds(t *testing.T) {
 		}(w)
 	}
 
+	// The load, not the clock, decides when each step comes: each waits
+	// until requests in all reach a count, under a cap that fails the
+	// test. The three waits add up to the floor of 100 checked below.
+	sent := func(what string, n uint64) {
+		t.Helper()
+		waitFor(t, 10*time.Second, what, func() bool { return total.Load() >= n })
+	}
+
 	// Let traffic settle, then drain the victim under load.
-	time.Sleep(100 * time.Millisecond)
+	sent("40 requests before the drain", 40)
 	lc.DrainNode(1)
+	draining := total.Load()
 
 	// The router notices the drain announcement and takes the node off
 	// the ring; the node keeps answering during this detection window.
@@ -70,17 +84,18 @@ func TestClusterGracefulDrainZeroFiveHundreds(t *testing.T) {
 		p := rt.Peer(victim)
 		return p.State() == PeerDraining && !rt.Ring().Has(victim)
 	})
+	sent("20 requests from the drain on", draining+20)
 
 	// Only now does the node actually stop — the drain protocol's whole
-	// point. Traffic keeps flowing for a beat to catch stragglers.
+	// point. Traffic keeps flowing for 40 more requests to catch
+	// stragglers.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := lc.ShutdownNode(ctx, 1); err != nil {
 		t.Fatalf("drained node shutdown: %v", err)
 	}
-	time.Sleep(150 * time.Millisecond)
-	stop.Store(true)
-	wg.Wait()
+	sent("40 requests after the shutdown", total.Load()+40)
+	stopLoad()
 
 	if total.Load() < 100 {
 		t.Fatalf("only %d requests flowed; the drain window was not exercised", total.Load())

@@ -45,6 +45,10 @@ func batchFeats(n int, seed int64) []feature.Vector {
 // regardless of which rows share the pass. This is the equivalence the
 // serve batcher's batch-native dispatch relies on.
 func TestPredictBatchMatchesSingle(t *testing.T) {
+	forEachKernelPath(t, testPredictBatchMatchesSingle)
+}
+
+func testPredictBatchMatchesSingle(t *testing.T) {
 	n, l := batchNet(t, 16)
 	for _, rows := range []int{1, 2, 3, 8, 17, 64} {
 		feats := batchFeats(rows, int64(rows))
@@ -105,6 +109,7 @@ func TestPredictBatchDetectsNaNWeights(t *testing.T) {
 	n, _ := batchNet(t, 8)
 	last := n.layers[len(n.layers)-1]
 	last.w[0] = math.NaN()
+	last.transpose()
 	feats := batchFeats(4, 2)
 	if err := n.PredictBatchChecked(feats, make([]config.M, 4)); err == nil {
 		t.Fatal("NaN-poisoned network answered a batch")

@@ -68,6 +68,7 @@ func randomNet(hidden int, rng *rand.Rand) *Network {
 		for i := range l.b {
 			l.b[i] = rng.NormFloat64()
 		}
+		l.transpose()
 	}
 	n.ready = true
 	return n
@@ -90,6 +91,10 @@ func sameBits(a, b []float64) bool {
 // of PredictBatchChecked. The widths cover the Table IV sweep and two
 // that are not multiples of four, so the tail loop runs.
 func TestDenseKernelMatchesReference(t *testing.T) {
+	forEachKernelPath(t, testDenseKernelMatchesReference)
+}
+
+func testDenseKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, hidden := range []int{16, 32, 64, 128, 6, 13} {
 		n := randomNet(hidden, rng)
@@ -339,15 +344,17 @@ func TestTrainMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		want := New(pair.Limits(), c.opts)
 		refTrain(want, c.samples)
-		for _, procs := range []int{1, 2, 4} {
-			runtime.GOMAXPROCS(procs)
-			got := New(pair.Limits(), c.opts)
-			if err := got.Train(c.samples); err != nil {
-				t.Fatal(err)
+		forEachKernelPath(t, func(t *testing.T) {
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				got := New(pair.Limits(), c.opts)
+				if err := got.Train(c.samples); err != nil {
+					t.Fatal(err)
+				}
+				if err := sameParams(got, want); err != nil {
+					t.Fatalf("%s at GOMAXPROCS %d: Train differs from the reference: %v", c.name, procs, err)
+				}
 			}
-			if err := sameParams(got, want); err != nil {
-				t.Fatalf("%s at GOMAXPROCS %d: Train differs from the reference: %v", c.name, procs, err)
-			}
-		}
+		})
 	}
 }

@@ -284,7 +284,7 @@ func (n *Network) maxWidth() int {
 // request goroutines at once). Training is the only mutating phase; a
 // Network must not be trained while serving. Training runs the same
 // kernel (applyInto), so every activation it learns from is the one
-// inference computes: pooling and blocking must never change a
+// inference computes: pooling and packed lanes must never change a
 // prediction bit.
 func (n *Network) forwardInto(in []float64, out []float64) {
 	sc := scratchPool.Get().(*scratch)
@@ -314,19 +314,29 @@ type dense struct {
 	mw, vw  []float64 // Adam moments for weights
 	mb, vb  []float64 // Adam moments for biases
 	t       float64   // Adam timestep
+
+	// wt is w transposed, [in][out], the forward pass's operand: its
+	// row i holds input i's weight to every output, so the outputs' sums
+	// lie along lanes. It is derived from w and must be refreshed by
+	// transpose after any write to w. wtOff[i] = i·out is the start of
+	// row i.
+	wt    []float64
+	wtOff []int
 }
 
 func newDense(in, out int, rng *rand.Rand) *dense {
 	d := &dense{
 		in: in, out: out,
-		w:  make([]float64, in*out),
-		b:  make([]float64, out),
-		gw: make([]float64, in*out),
-		gb: make([]float64, out),
-		mw: make([]float64, in*out),
-		vw: make([]float64, in*out),
-		mb: make([]float64, out),
-		vb: make([]float64, out),
+		w:     make([]float64, in*out),
+		b:     make([]float64, out),
+		gw:    make([]float64, in*out),
+		gb:    make([]float64, out),
+		mw:    make([]float64, in*out),
+		vw:    make([]float64, in*out),
+		mb:    make([]float64, out),
+		vb:    make([]float64, out),
+		wt:    make([]float64, in*out),
+		wtOff: make([]int, in),
 	}
 	// He initialization for the ReLU layers; it also behaves well for
 	// the sigmoid output at these widths.
@@ -334,62 +344,50 @@ func newDense(in, out int, rng *rand.Rand) *dense {
 	for i := range d.w {
 		d.w[i] = rng.NormFloat64() * scale
 	}
+	for i := range d.wtOff {
+		d.wtOff[i] = i * out
+	}
+	d.transpose()
 	return d
+}
+
+// transpose refreshes wt from w, four rows of w at a time, so each
+// store fills four adjacent elements of a wt row.
+func (d *dense) transpose() {
+	o := 0
+	for ; o+4 <= d.out; o += 4 {
+		w0 := d.w[o*d.in:][:d.in]
+		w1 := d.w[(o+1)*d.in:][:d.in]
+		w2 := d.w[(o+2)*d.in:][:d.in]
+		w3 := d.w[(o+3)*d.in:][:d.in]
+		for i := range w0 {
+			t := d.wt[i*d.out+o:][:4]
+			t[0], t[1], t[2], t[3] = w0[i], w1[i], w2[i], w3[i]
+		}
+	}
+	for ; o < d.out; o++ {
+		for i, x := range d.w[o*d.in:][:d.in] {
+			d.wt[i*d.out+o] = x
+		}
+	}
 }
 
 // applyInto is the network's one dense forward kernel, for inference and
 // training alike: it writes the layer's post-activations for one input
-// row into caller-owned storage. It computes four outputs per pass over
-// the input: their four independent accumulation chains overlap in the
-// pipeline, where one output at a time leaves each add waiting on the
-// one before it. A width not divisible by four finishes its last outputs
-// one at a time. Blocking changes only which sums advance together,
-// never a sum's own order: each output still starts from its bias and
-// adds its inputs in ascending index order, so the activations are
-// bitwise-identical to a one-output-at-a-time loop. out may hold stale
-// values from a previous batch and is fully overwritten.
+// row into caller-owned storage. Each output's sum starts from its bias
+// and adds its inputs' products in ascending input order, with the
+// outputs along mulAdd's lanes; out may hold stale values from a
+// previous batch and is fully overwritten.
 func (d *dense) applyInto(in, out []float64, relu bool) {
-	// Every weight row is cut to len(in), so the inner loops index
-	// without bounds checks.
-	in = in[:d.in]
-	o := 0
-	for ; o+4 <= d.out; o += 4 {
-		w0 := d.w[o*d.in:][:len(in)]
-		w1 := d.w[(o+1)*d.in:][:len(in)]
-		w2 := d.w[(o+2)*d.in:][:len(in)]
-		w3 := d.w[(o+3)*d.in:][:len(in)]
-		s0, s1, s2, s3 := d.b[o], d.b[o+1], d.b[o+2], d.b[o+3]
-		for i, x := range in {
-			s0 += w0[i] * x
-			s1 += w1[i] * x
-			s2 += w2[i] * x
-			s3 += w3[i] * x
-		}
-		out[o] = activate(s0, relu)
-		out[o+1] = activate(s1, relu)
-		out[o+2] = activate(s2, relu)
-		out[o+3] = activate(s3, relu)
+	out = out[:d.out]
+	mulAdd(out, d.b, d.wt, d.wtOff, in[:d.in])
+	if relu {
+		applyReLU(out)
+		return
 	}
-	for ; o < d.out; o++ {
-		sum := d.b[o]
-		row := d.w[o*d.in:][:len(in)]
-		for i, x := range in {
-			sum += row[i] * x
-		}
-		out[o] = activate(sum, relu)
+	for o, s := range out {
+		out[o] = sigmoid(s)
 	}
-}
-
-// activate applies the layer's activation to one pre-activation: ReLU
-// for hidden layers, sigmoid for the output layer.
-func activate(sum float64, relu bool) float64 {
-	if !relu {
-		return sigmoid(sum)
-	}
-	if sum > 0 {
-		return sum
-	}
-	return 0
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

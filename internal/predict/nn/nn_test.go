@@ -220,10 +220,13 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		for i := range p {
 			orig := p[i]
 			p[i] = orig + eps
+			n.layers[li].transpose()
 			up := loss()
 			p[i] = orig - eps
+			n.layers[li].transpose()
 			down := loss()
 			p[i] = orig
+			n.layers[li].transpose()
 			numeric := (up - down) / (2 * eps)
 			if math.Abs(numeric-grad[i]) > 1e-4*(1+math.Abs(numeric)) {
 				t.Fatalf("layer %d %s %d: numeric %v analytic %v", li, what, i, numeric, grad[i])

@@ -37,12 +37,11 @@ type trainer struct {
 	live         liveList
 }
 
-// liveList is the kernels' index buffers: the positions and values of
-// the non-zero deltas a kernel skips to, and the live ReLU units.
+// liveList is mulAdd's term buffers for backprop and gradRows: the
+// src offsets and values of the non-zero deltas a sum adds.
 type liveList struct {
-	at    []int
-	g     []float64
-	units []int
+	at []int
+	g  []float64
 }
 
 // newTrainer sizes the workspace for mini-batches of n's BatchSize drawn
@@ -63,9 +62,8 @@ func newTrainer(n *Network, samples []predict.Sample) *trainer {
 		size = max(size, l.out)
 	}
 	t.live = liveList{
-		at:    make([]int, size),
-		g:     make([]float64, size),
-		units: make([]int, size),
+		at: make([]int, size),
+		g:  make([]float64, size),
 	}
 	return t
 }
@@ -94,6 +92,7 @@ func (t *trainer) adamStep() {
 		c2 := 1 - math.Pow(adamBeta2, l.t)
 		adam(l.w, l.gw, l.mw, l.vw, lr, batch, c1, c2)
 		adam(l.b, l.gb, l.mb, l.vb, lr, batch, c1, c2)
+		l.transpose()
 	}
 }
 
@@ -137,64 +136,34 @@ func (t *trainer) backward(r int) {
 // +0 where the unit is dead. An activation is positive exactly when its
 // pre-activation is (NaN included), so this is the ReLU' mask. A sum
 // starts from +0 and adds the outputs with a non-zero delta (a zero
-// delta is skipped, never multiplied) in ascending o; four outputs share
-// each pass over the live units, and each unit still adds them one at a
-// time, so every sum keeps the per-output loop's order.
+// delta is skipped, never multiplied) in ascending o, with the inputs
+// along mulAdd's lanes; a dead unit's sum is computed and then masked.
 func (d *dense) backprop(delta, act, prev []float64, live *liveList) {
-	outs, n := live.at[:len(delta)], 0
+	// Every delta is written and kept only when non-zero, so the scan
+	// has no branch to mispredict on the dead units' zeros.
+	at, gs, n := live.at[:len(delta)], live.g[:len(delta)], 0
 	for o, g := range delta {
+		at[n], gs[n] = o*d.in, g
 		if g != 0 {
-			outs[n] = o
 			n++
 		}
 	}
-	outs = outs[:n]
-	units, m := live.units[:len(act)], 0
-	for i, a := range act {
-		prev[i] = 0
-		if a > 0 {
-			units[m] = i
-			m++
-		}
-	}
-	units = units[:m]
-	k := 0
-	for ; k+4 <= len(outs); k += 4 {
-		o0, o1, o2, o3 := outs[k], outs[k+1], outs[k+2], outs[k+3]
-		g0, g1, g2, g3 := delta[o0], delta[o1], delta[o2], delta[o3]
-		w0 := d.w[o0*d.in:][:len(prev)]
-		w1 := d.w[o1*d.in:][:len(prev)]
-		w2 := d.w[o2*d.in:][:len(prev)]
-		w3 := d.w[o3*d.in:][:len(prev)]
-		for _, i := range units {
-			s := prev[i]
-			s += g0 * w0[i]
-			s += g1 * w1[i]
-			s += g2 * w2[i]
-			s += g3 * w3[i]
-			prev[i] = s
-		}
-	}
-	for ; k < len(outs); k++ {
-		g := delta[outs[k]]
-		w := d.w[outs[k]*d.in:][:len(prev)]
-		for _, i := range units {
-			prev[i] += g * w[i]
-		}
-	}
+	mulAdd(prev, nil, d.w, at[:n], gs[:n])
+	maskDead(prev, act)
 }
 
 // gradRows is phase 3 for one layer: gw[o][i] = Σ_r delta[r][o]·x[r][i]
 // and gb[o] = Σ_r delta[r][o] over the batch's rows with a non-zero
 // delta, in row order, each starting from +0 — the order of adding one
-// sample's gradient at a time. Eight inputs' sums advance together in
-// registers, so each gw element is stored once per batch.
+// sample's gradient at a time. The inputs lie along mulAdd's lanes, so
+// each gw element is stored once per batch.
 func (d *dense) gradRows(x, delta []float64, rows int, live *liveList) {
 	for o := 0; o < d.out; o++ {
 		at, gs, n := live.at[:rows], live.g[:rows], 0
-		for r := range at {
-			if g := delta[r*d.out+o]; g != 0 {
-				at[n], gs[n] = r*d.in, g
+		for r := range at { // branch-free, as in backprop
+			g := delta[r*d.out+o]
+			at[n], gs[n] = r*d.in, g
+			if g != 0 {
 				n++
 			}
 		}
@@ -204,41 +173,6 @@ func (d *dense) gradRows(x, delta []float64, rows int, live *liveList) {
 			gb += g
 		}
 		d.gb[o] = gb
-		gw := d.gw[o*d.in:][:d.in]
-		i := 0
-		for ; i+8 <= len(gw); i += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 float64
-			for j, off := range at {
-				g, xs := gs[j], x[off+i:][:8]
-				s0 += g * xs[0]
-				s1 += g * xs[1]
-				s2 += g * xs[2]
-				s3 += g * xs[3]
-				s4 += g * xs[4]
-				s5 += g * xs[5]
-				s6 += g * xs[6]
-				s7 += g * xs[7]
-			}
-			gw[i], gw[i+1], gw[i+2], gw[i+3] = s0, s1, s2, s3
-			gw[i+4], gw[i+5], gw[i+6], gw[i+7] = s4, s5, s6, s7
-		}
-		for ; i < len(gw); i++ {
-			var s float64
-			for j, off := range at {
-				s += gs[j] * x[off+i]
-			}
-			gw[i] = s
-		}
-	}
-}
-
-// adam is phase 4 over one run of parameters p, with gradient sums g
-// over a batch of the given size and moments m and v.
-func adam(p, g, m, v []float64, lr, batch, c1, c2 float64) {
-	for i := range p {
-		gi := g[i] / batch
-		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
-		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		p[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + adamEps)
+		mulAdd(d.gw[o*d.in:][:d.in], nil, x, at, gs)
 	}
 }

@@ -125,8 +125,8 @@ func (m *Metrics) Families(cache *Cache, queueDepth func() int, models []ModelIn
 		obs.Counter("heteromap_requests_total", "prediction items accepted", m.Requests.Load()),
 		obs.Counter("heteromap_http_errors_total", "HTTP error responses", m.HTTPErrors.Load()),
 		obs.Counter("heteromap_queue_full_total", "requests rejected because the queue was full", m.QueueFull.Load()),
-		obs.Counter("heteromap_batches_total", "micro-batches drained by the worker pool", m.Batches.Load()),
-		obs.Counter("heteromap_batch_items_total", "prediction items processed in batches", m.BatchItems.Load()),
+		obs.Counter("heteromap_batches_total", "inference passes over a request's cache misses", m.Batches.Load()),
+		obs.Counter("heteromap_batch_items_total", "items answered by an inference pass: its rows, their singleflight followers and in-request repeats", m.BatchItems.Load()),
 		obs.Counter("heteromap_fallback_events_total", "predictor fallback-chain degradations", m.Fallbacks.Load()),
 		obs.Counter("heteromap_model_reloads_total", "model hot-swap reloads", m.ReloadCount.Load()),
 		obs.Counter("heteromap_reload_rejected_total", "reloads whose candidate snapshot was quarantined", m.ReloadRejected.Load()),
@@ -145,7 +145,7 @@ func (m *Metrics) Families(cache *Cache, queueDepth func() int, models []ModelIn
 		obs.Counter("heteromap_cache_evictions_total", "prediction cache evictions", evictions),
 		obs.Gauge("heteromap_cache_entries", "live prediction cache entries", int64(cache.Len())),
 		obs.Gauge("heteromap_in_flight", "requests currently being served", m.InFlight.Load()),
-		obs.Gauge("heteromap_queue_depth", "prediction tasks waiting in the batch queue", int64(queueDepth())),
+		obs.Gauge("heteromap_queue_depth", "miss passes in flight", int64(queueDepth())),
 	}
 	if len(models) > 0 {
 		breakers := obs.Family{Name: "heteromap_model_breaker_state", Help: "per-model-version circuit state (0 closed, 1 open, 2 half-open)", Type: "gauge"}
