@@ -60,7 +60,7 @@ func main() {
 	if *out != "" {
 		// Atomic write-temp + rename: a crash mid-write can never leave a
 		// torn database under the output name.
-		if err := db.SaveFile(*out); err != nil {
+		if err := db.SaveFile(*out, nil); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

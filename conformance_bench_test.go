@@ -44,10 +44,6 @@ func BenchmarkConformancePredictDeep128(b *testing.B) {
 	conformanceTarget(b, "predict/deep128")
 }
 
-func BenchmarkConformanceServePredictE2E(b *testing.B) {
-	conformanceTarget(b, "serve/predict-e2e")
-}
-
 func BenchmarkConformanceServePredictCacheHit(b *testing.B) {
 	conformanceTarget(b, "serve/predict-cachehit")
 }

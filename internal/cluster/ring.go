@@ -126,11 +126,6 @@ func (r *Ring) Lookup(hash uint64, n int) []string {
 	return out
 }
 
-// LookupKey is Lookup over the placement hash of a string key.
-func (r *Ring) LookupKey(key string, n int) []string {
-	return r.Lookup(hashString(key), n)
-}
-
 // With returns a ring with the node added (or the receiver when it is
 // already present).
 func (r *Ring) With(node string) *Ring {

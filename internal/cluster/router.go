@@ -33,20 +33,11 @@ type RouterOptions struct {
 	// Replicas is the replica-group size per shard, primary included
 	// (2). Requests fail over (and hedge) within the group.
 	Replicas int
-	// VNodes is the virtual-node count per peer (DefaultVNodes).
-	VNodes int
-	// Step is the feature discretization increment used to resolve the
-	// shard key; it must match the nodes' configuration
-	// (feature.DiscretizationStep).
-	Step float64
 
 	// HedgeAfter is how long the primary may take before the router
 	// hedges the request against the replica (25ms) — the cluster analog
 	// of the batcher's stage budget.
 	HedgeAfter time.Duration
-	// PerTryTimeout bounds one forwarded attempt (1s), so a partitioned
-	// peer costs one try, not the whole request deadline.
-	PerTryTimeout time.Duration
 	// RequestTimeout bounds one routed request end to end (5s).
 	RequestTimeout time.Duration
 
@@ -90,17 +81,8 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
-	if o.VNodes <= 0 {
-		o.VNodes = DefaultVNodes
-	}
-	if o.Step <= 0 {
-		o.Step = feature.DiscretizationStep
-	}
 	if o.HedgeAfter <= 0 {
 		o.HedgeAfter = 25 * time.Millisecond
-	}
-	if o.PerTryTimeout <= 0 {
-		o.PerTryTimeout = time.Second
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
@@ -125,6 +107,10 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	}
 	return o
 }
+
+// perTryTimeout bounds one forwarded attempt, so a partitioned peer
+// costs one try, not the whole request deadline.
+const perTryTimeout = time.Second
 
 // Router headers: which peer answered, how the answer was routed
 // (primary, failover, hedge-win), and the answering model version
@@ -195,7 +181,7 @@ func NewRouter(opts RouterOptions) (*Router, error) {
 	for a := range rt.peers {
 		addrs = append(addrs, a)
 	}
-	rt.ring.Store(New(addrs, opts.VNodes))
+	rt.ring.Store(New(addrs, DefaultVNodes))
 	rt.http = &http.Server{Addr: opts.Addr, Handler: rt.Handler()}
 	rt.wg.Add(1)
 	go rt.proberLoop()
@@ -459,7 +445,7 @@ func (rt *Router) forwardSpan(ctx context.Context, p *Peer, body []byte, sp *obs
 		// A partition hangs until the attempt deadline, never reaching
 		// the peer — the worst case the per-try timeout exists for.
 		rt.metrics.ChaosPartitions.Add(1)
-		t := time.NewTimer(rt.opts.PerTryTimeout)
+		t := time.NewTimer(perTryTimeout)
 		defer t.Stop()
 		select {
 		case <-ctx.Done():
@@ -478,7 +464,7 @@ func (rt *Router) forwardSpan(ctx context.Context, p *Peer, body []byte, sp *obs
 		case <-t.C:
 		}
 	}
-	tctx, cancel := context.WithTimeout(ctx, rt.opts.PerTryTimeout)
+	tctx, cancel := context.WithTimeout(ctx, perTryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(tctx, http.MethodPost,
 		"http://"+p.Addr+"/v1/predict", bytes.NewReader(body))
@@ -759,7 +745,7 @@ func (rt *Router) readRequest(w http.ResponseWriter, r *http.Request) ([]byte, u
 	if err != nil {
 		return nil, 0, &routeError{http.StatusBadRequest, fmt.Errorf("decode request: %w", err)}
 	}
-	feat, err := serve.ResolveFeatures(&req, rt.opts.Step)
+	feat, err := serve.ResolveFeatures(&req, feature.DiscretizationStep)
 	if err != nil {
 		return nil, 0, &routeError{http.StatusBadRequest, err}
 	}
@@ -865,7 +851,7 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int) {
 			defer wg.Done()
 			item := &batch.Requests[i]
-			feat, err := serve.ResolveFeatures(item, rt.opts.Step)
+			feat, err := serve.ResolveFeatures(item, feature.DiscretizationStep)
 			if err != nil {
 				resps[i] = serve.PredictResponse{Error: err.Error()}
 				return
@@ -921,7 +907,7 @@ func (rt *Router) handleCluster(w http.ResponseWriter, _ *http.Request) {
 		"peers":    rt.PeerInfos(),
 		"ring":     ring.Nodes(),
 		"replicas": rt.opts.Replicas,
-		"vnodes":   rt.opts.VNodes,
+		"vnodes":   DefaultVNodes,
 		"events":   rt.metrics.Events(),
 	})
 }

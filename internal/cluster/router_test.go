@@ -280,17 +280,21 @@ func TestClusterBatchFansOutAcrossShards(t *testing.T) {
 			t.Fatalf("batch item %d answered by model %q", i, pr.Model)
 		}
 	}
-	// Positional agreement with single-shot routing.
-	single, sbody := postJSON(t, lc.URL()+"/v1/predict", batch.Requests[3])
-	if single.StatusCode != http.StatusOK {
-		t.Fatalf("single status %d", single.StatusCode)
-	}
-	var pr serve.PredictResponse
-	if err := json.Unmarshal(sbody, &pr); err != nil {
-		t.Fatal(err)
-	}
-	if pr.Key != br.Responses[3].Key {
-		t.Fatalf("batch item 3 key %q != single key %q", br.Responses[3].Key, pr.Key)
+	// Positional agreement with single-shot routing, item by item; only
+	// cached and trace_id may differ.
+	for i, item := range br.Responses {
+		single, sbody := postJSON(t, lc.URL()+"/v1/predict", batch.Requests[i])
+		if single.StatusCode != http.StatusOK {
+			t.Fatalf("item %d: single status %d: %s", i, single.StatusCode, sbody)
+		}
+		var pr serve.PredictResponse
+		if err := json.Unmarshal(sbody, &pr); err != nil {
+			t.Fatal(err)
+		}
+		if item.Key != pr.Key || item.M != pr.M || item.Model != pr.Model ||
+			item.Version != pr.Version || item.PredictorUsed != pr.PredictorUsed {
+			t.Fatalf("batch item %d differs from single-shot routing:\n batch  %+v\n single %+v", i, item, pr)
+		}
 	}
 }
 

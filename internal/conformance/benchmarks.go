@@ -69,19 +69,9 @@ func BenchTargets(short bool) []BenchTarget {
 			Run:  benchPredictDeep128(short),
 		},
 		{
-			Name: "serve/predict-e2e",
-			Doc:  "HTTP POST /v1/predict end to end (cache, tree model)",
-			Run:  benchServePredict,
-		},
-		{
 			Name: "serve/predict-cachehit",
 			Doc:  "in-process cache-hit fast path (binary key build + sharded LRU hit); gated at 0 allocs/op",
 			Run:  benchServeCacheHit,
-		},
-		{
-			Name: "serve/obs-overhead",
-			Doc:  "predict e2e with tracing on (ns/op) vs off (untraced_ns/op, overhead_pct)",
-			Run:  benchServeObsOverhead,
 		},
 		{
 			Name: "serve/federation-scrape",
@@ -257,24 +247,11 @@ func servePredictOnce(b *testing.B, client *http.Client, url string, body []byte
 	resp.Body.Close()
 }
 
-func benchServePredict(b *testing.B) {
-	// Rotate over distinct raw-feature requests: after the first lap the
-	// cache serves them, so the measurement covers the steady-state
-	// serve path (HTTP + cache hit) a production replica sees.
-	ts, bodies, stop := benchServeSetup(b, serve.Options{})
-	defer stop()
-	client := ts.Client()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		servePredictOnce(b, client, ts.URL+"/v1/predict", bodies[i%len(bodies)])
-	}
-}
-
 // benchServeCacheHit prices the cache-hit fast path with the HTTP and
 // JSON layers peeled off: one PredictCached call — registry resolve,
 // binary cache-key build, sharded-LRU hit, latency accounting — per
-// iteration. This is the floor the e2e number decomposes onto, and the
-// target the allocs/op gate pins at zero: any per-hit allocation that
+// iteration. This is the floor an HTTP cache hit decomposes onto, and
+// the target the allocs/op gate pins at zero: any per-hit allocation that
 // sneaks onto this path (a string key, an escaping closure, a trace
 // exemplar) fails the baseline comparison.
 func benchServeCacheHit(b *testing.B) {
@@ -306,50 +283,6 @@ func benchServeCacheHit(b *testing.B) {
 		if _, _, _, ok := s.PredictCached("tree", feats[i%len(feats)]); !ok {
 			b.Fatal("warmed key missed the cache")
 		}
-	}
-}
-
-// benchServeObsOverhead prices the tracing instrumentation: ns/op is the
-// traced serve path (the default configuration, same steady-state mix as
-// serve/predict-e2e), and a stopped-timer reference run against an
-// untraced server yields untraced_ns/op plus the relative overhead_pct
-// the acceptance gate watches (tracing must stay within a few percent).
-func benchServeObsOverhead(b *testing.B) {
-	traced, tracedBodies, stopTraced := benchServeSetup(b, serve.Options{})
-	defer stopTraced()
-	untraced, untracedBodies, stopUntraced := benchServeSetup(b, serve.Options{DisableTracing: true})
-	defer stopUntraced()
-	tc, uc := traced.Client(), untraced.Client()
-
-	// Warm both caches so both measurements cover the cache-hit path.
-	for i := range tracedBodies {
-		servePredictOnce(b, tc, traced.URL+"/v1/predict", tracedBodies[i])
-		servePredictOnce(b, uc, untraced.URL+"/v1/predict", untracedBodies[i])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		servePredictOnce(b, tc, traced.URL+"/v1/predict", tracedBodies[i%len(tracedBodies)])
-	}
-	b.StopTimer()
-	tracedNS := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-
-	// Match the reference sample to the measured iteration count (within
-	// bounds) so both sides see comparable scheduler and cache behaviour.
-	refN := b.N
-	if refN > 4096 {
-		refN = 4096
-	}
-	if refN < 256 {
-		refN = 256
-	}
-	start := time.Now()
-	for i := 0; i < refN; i++ {
-		servePredictOnce(b, uc, untraced.URL+"/v1/predict", untracedBodies[i%len(untracedBodies)])
-	}
-	untracedNS := float64(time.Since(start).Nanoseconds()) / float64(refN)
-	b.ReportMetric(untracedNS, "untraced_ns/op")
-	if untracedNS > 0 {
-		b.ReportMetric((tracedNS-untracedNS)/untracedNS*100, "overhead_pct")
 	}
 }
 

@@ -211,44 +211,13 @@ func (r RunReport) Metric(obj Objective) float64 {
 
 // Run characterizes nothing — it deploys an already characterized
 // workload: predict M through the fallback chain, simulate on the chosen
-// accelerator, add overhead. The prediction is validated (never trusted
-// unconditionally): a panicking predictor or a non-finite M degrades to
-// the next chain link instead of crashing or poisoning the machine model.
+// accelerator, add overhead. It is RunResilient without faults, whose
+// one attempt charges exactly the machine report's seconds. The
+// prediction is validated (never trusted unconditionally): a panicking
+// predictor or a non-finite M degrades to the next chain link instead of
+// crashing or poisoning the machine model.
 func (s *System) Run(w *Workload) RunReport {
-	ctx, tr := s.tracer.StartTrace(context.Background(), "core.run")
-	tr.SetAttr("workload", w.Name())
-
-	start := time.Now()
-	pctx, psp := obs.StartSpan(ctx, "predict")
-	sel := s.Chain().SelectCtx(pctx, w.Features)
-	psp.SetAttr("used", sel.Used)
-	psp.End()
-	elapsed := time.Since(start)
-	if sel.Degraded() {
-		tr.Keep(obs.FlagFallback)
-	}
-
-	ov := s.PredictorOverhead()
-	if elapsed > ov {
-		ov = elapsed
-	}
-	_, esp := obs.StartSpan(ctx, "evaluate")
-	esp.SetAttr("accelerator", sel.M.Accelerator.String())
-	rep := s.Pair.Select(sel.M.Accelerator).Evaluate(w.Job, sel.M)
-	esp.End()
-	tr.Finish()
-	return RunReport{
-		Workload:        w,
-		Chosen:          sel.M,
-		Machine:         rep,
-		PredictOverhead: ov,
-		TotalSeconds:    rep.Seconds + ov.Seconds(),
-		PredictorUsed:   sel.Used,
-		FallbackEvents:  sel.Fallbacks,
-		Attempts:        1,
-		Completed:       true,
-		TraceID:         tr.ID(),
-	}
+	return s.RunResilient(w, nil, fault.Policy{}, nil)
 }
 
 // RunResilient deploys a workload under fault injection: the prediction
@@ -260,7 +229,7 @@ func (s *System) Run(w *Workload) RunReport {
 // injector injects nothing; a nil brs tracks health for this run only
 // (pass a shared *fault.Breakers to persist health across a batch).
 func (s *System) RunResilient(w *Workload, inj *fault.Injector, pol fault.Policy, brs *fault.Breakers) RunReport {
-	ctx, tr := s.tracer.StartTrace(context.Background(), "core.run-resilient")
+	ctx, tr := s.tracer.StartTrace(context.Background(), "core.run")
 	tr.SetAttr("workload", w.Name())
 
 	start := time.Now()

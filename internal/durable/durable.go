@@ -27,8 +27,8 @@ import (
 // label; when it reports armed, the write dies with ErrKilled after
 // exactly offset bytes have reached the file — the on-disk state is
 // byte-identical to a process killed at that point, and nothing after
-// the kill (fsync, rename, cleanup) runs. Production passes nil; the
-// fault injector's WriteKill method binds here.
+// the kill (fsync, rename, cleanup) runs. Production passes nil; crash
+// tests pass a closure that arms the target and offset under test.
 type KillFunc func(target string) (offset int64, armed bool)
 
 // ErrKilled marks a write aborted by an injected crash. The temp or

@@ -3,7 +3,6 @@ package fault
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -58,46 +57,6 @@ func (p ServeProfile) String() string {
 	return s
 }
 
-// ScaledServeProfile derives a whole-pipeline serve chaos profile from a
-// single rate in [0,1], the serving analog of ScaledProfile: one number
-// controls fault intensity monotonically across all three modes. The
-// delay is sized to hurt (it exceeds the breaker's latency rule) without
-// outliving a request deadline.
-func ScaledServeProfile(rate float64) ServeProfile {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	return ServeProfile{
-		SlowModelRate:     rate,
-		SlowModelDelay:    50 * time.Millisecond,
-		CorruptReloadRate: rate,
-		QueueRejectRate:   0.05 * rate,
-	}
-}
-
-// ScaledClusterProfile derives a router-side chaos profile from a single
-// rate in [0,1], the cluster analog of ScaledServeProfile: slow peers at
-// the rate itself, partitions and node deaths rarer (they cost a full
-// failover each), with the slow-peer delay sized to trip the router's
-// hedge budget without outliving a request deadline.
-func ScaledClusterProfile(rate float64) ServeProfile {
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 1 {
-		rate = 1
-	}
-	return ServeProfile{
-		SlowPeerRate:      rate,
-		SlowPeerDelay:     50 * time.Millisecond,
-		PeerPartitionRate: 0.1 * rate,
-		NodeKillRate:      0.1 * rate,
-	}
-}
-
 // serve-injection draw kinds, also the per-kind sequence-counter index.
 // Index 1 is unused, so every kind keeps the fault schedule its seed has
 // always produced.
@@ -123,11 +82,6 @@ type ServeInjector struct {
 	seed    int64
 	profile atomic.Pointer[ServeProfile]
 	seq     [numServeKinds]atomic.Uint64
-
-	// Armed write kill-points (see kill.go): target name -> byte offset
-	// at which the next durable write to that target must die.
-	killMu sync.Mutex
-	kills  map[string]int64
 }
 
 // NewServeInjector returns an injector with an empty profile; the seed

@@ -5,26 +5,12 @@ import (
 	"time"
 )
 
-func TestServeProfileActiveAndScaling(t *testing.T) {
+func TestServeProfileActive(t *testing.T) {
 	if (ServeProfile{}).Active() {
 		t.Fatal("zero profile active")
 	}
-	if !ScaledServeProfile(0.3).Active() {
-		t.Fatal("scaled profile inactive")
-	}
-	if ScaledServeProfile(0).Active() {
-		t.Fatal("zero-rate scaled profile active")
-	}
-	lo, hi := ScaledServeProfile(0.2), ScaledServeProfile(0.9)
-	if hi.SlowModelRate <= lo.SlowModelRate || hi.QueueRejectRate <= lo.QueueRejectRate {
-		t.Fatalf("scaling not monotone: %v vs %v", lo, hi)
-	}
-	clamped := ScaledServeProfile(7)
-	if clamped.SlowModelRate != 1 {
-		t.Fatalf("rate not clamped: %v", clamped)
-	}
-	if ScaledServeProfile(-1).Active() {
-		t.Fatal("negative rate active")
+	if !(ServeProfile{SlowModelRate: 0.3, SlowModelDelay: time.Millisecond}).Active() {
+		t.Fatal("slow-model profile inactive")
 	}
 }
 
@@ -64,7 +50,7 @@ func TestServeInjectorNilAndEmpty(t *testing.T) {
 	if _, ok := in.SlowModel(); ok || in.CorruptReload() || in.RejectQueue() || in.Enabled() {
 		t.Fatal("nil injector injected a fault")
 	}
-	in.SetServeProfile(ScaledServeProfile(1)) // must not panic
+	in.SetServeProfile(ServeProfile{SlowModelRate: 1}) // must not panic
 	live := NewServeInjector(1)
 	if live.Enabled() {
 		t.Fatal("fresh injector enabled")
@@ -95,16 +81,9 @@ func TestServeInjectorProfileFlip(t *testing.T) {
 	}
 }
 
-func TestClusterProfileDrawsAndScaling(t *testing.T) {
+func TestClusterProfileDraws(t *testing.T) {
 	if (ServeProfile{SlowPeerRate: 0.2, SlowPeerDelay: time.Millisecond}).Active() == false {
 		t.Fatal("slow-peer profile inactive")
-	}
-	if !ScaledClusterProfile(0.4).Active() || ScaledClusterProfile(0).Active() {
-		t.Fatal("cluster scaling active/inactive wrong")
-	}
-	lo, hi := ScaledClusterProfile(0.2), ScaledClusterProfile(0.9)
-	if hi.SlowPeerRate <= lo.SlowPeerRate || hi.NodeKillRate <= lo.NodeKillRate {
-		t.Fatalf("cluster scaling not monotone: %v vs %v", lo, hi)
 	}
 
 	var nilIn *ServeInjector

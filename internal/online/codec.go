@@ -11,8 +11,8 @@ import (
 )
 
 // The outcome codec is the wire format for one collected Outcome, used
-// both as the payload of a feedback-WAL record and as the aux blob
-// attached to a window-snapshot sample. Framing and integrity are the
+// both as the payload of a feedback-WAL record and as a record of the
+// window snapshot (window.snap). Framing and integrity are the
 // containing format's job (WAL record CRC, container record CRC); this
 // layer only lays fields out:
 //

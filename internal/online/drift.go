@@ -126,19 +126,6 @@ func (d *Detector) Drifting(model string) bool {
 	return fs != nil && fs.drifting
 }
 
-// DriftingFamilies returns the families whose signal is armed.
-func (d *Detector) DriftingFamilies() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []string
-	for name, fs := range d.families {
-		if fs.drifting {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 // EWMA returns a family's smoothed gap (0 if never observed).
 func (d *Detector) EWMA(model string) float64 {
 	d.mu.Lock()

@@ -7,9 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
-	"heteromap/internal/config"
 	"heteromap/internal/durable"
-	"heteromap/internal/train"
 )
 
 // Durability layout under Options.DurableDir:
@@ -72,7 +70,7 @@ type DurableStats struct {
 	Quarantines uint64 `json:"quarantines"`
 	// StaleTemps counts orphaned temp files swept at startup.
 	StaleTemps int `json:"stale_temps_removed"`
-	// WindowFlushes counts periodic SaveWindow flushes; FlushErrors
+	// WindowFlushes counts periodic FlushWindow flushes; FlushErrors
 	// counts failed ones (an empty window is not an error).
 	WindowFlushes uint64 `json:"window_flushes"`
 	FlushErrors   uint64 `json:"flush_errors"`
@@ -154,10 +152,9 @@ func (m *Manager) recoverDurable() {
 
 	// Rung 3: open a fresh WAL segment for new appends.
 	w, err := durable.OpenWAL(durable.WALOptions{
-		Dir:          walDir,
-		SegmentBytes: m.opts.WALSegmentBytes,
-		Target:       "wal",
-		Kill:         m.opts.Kill,
+		Dir:    walDir,
+		Target: "wal",
+		Kill:   m.opts.Kill,
 	})
 	if err != nil {
 		m.trace("wal open failed, running volatile", "dir", walDir, "err", err.Error())
@@ -305,20 +302,15 @@ func (m *Manager) Close() error {
 }
 
 // FlushWindow persists the feedback window to path as a training
-// database with full outcomes attached as aux blobs — readable by every
-// aux-blind train.LoadDB consumer and reloadable into an equivalent
-// drift state by LoadWindowFile. An empty window is a no-op.
+// database, one sample per outcome with its exhaustive best M as the
+// target — the same store format hmtrain writes. An empty window is a
+// no-op.
 func (m *Manager) FlushWindow(path string) error {
 	outs := m.window.Snapshot()
 	if len(outs) == 0 {
 		return nil
 	}
-	db := windowDB(m.opts.Pair, m.opts.Objective, outs)
-	aux := make([][]byte, len(outs))
-	for i, o := range outs {
-		aux[i] = encodeOutcome(o, m.limits)
-	}
-	err := db.SaveFileAux(path, aux, m.opts.Kill)
+	err := windowDB(m.opts.Pair, m.opts.Objective, outs).SaveFile(path, m.opts.Kill)
 	m.dur.mu.Lock()
 	if err != nil {
 		m.dur.stats.FlushErrors++
@@ -327,39 +319,4 @@ func (m *Manager) FlushWindow(path string) error {
 	}
 	m.dur.mu.Unlock()
 	return err
-}
-
-// LoadWindowFile reads a FlushWindow (or SaveWindow) artifact back into
-// outcomes. Samples without an aux blob — a file written by plain
-// hmtrain, say — decode to nothing; only genuine window flushes carry
-// outcomes.
-func LoadWindowFile(path string, limits config.Limits) ([]Outcome, error) {
-	_, aux, err := train.LoadDBAuxFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var outs []Outcome
-	for _, rec := range aux {
-		if len(rec) == 0 {
-			continue
-		}
-		o, err := decodeOutcome(rec, limits)
-		if err != nil {
-			return nil, err
-		}
-		outs = append(outs, o)
-	}
-	return outs, nil
-}
-
-// AdoptOutcomes feeds recovered outcomes through the window and drift
-// detector in order — the warm-import path for a flushed window file.
-func (m *Manager) AdoptOutcomes(outs []Outcome) {
-	for _, o := range outs {
-		m.window.Add(o)
-		m.drift.Observe(o.Model, o.Key, o.Gap)
-	}
-	if len(outs) > 0 {
-		m.refreshResiduals()
-	}
 }

@@ -266,52 +266,6 @@ func TestWALKillDuringTick(t *testing.T) {
 	}
 }
 
-// TestFlushedWindowEquivalentDriftState (window auto-flush satellite):
-// a FlushWindow artifact is an ordinary training database to aux-blind
-// readers AND reloads into a manager whose drift state equals the
-// original's.
-func TestFlushedWindowEquivalentDriftState(t *testing.T) {
-	m := newTestManager(t)
-	cells := badCells(t, m, 15)
-	feedGPU(m, cells, "FixedChoice")
-	m.Tick()
-	path := filepath.Join(t.TempDir(), "window.hmdb")
-	if err := m.FlushWindow(path); err != nil {
-		t.Fatal(err)
-	}
-
-	// Aux-blind reader: plain training database with one sample per
-	// outcome.
-	db, err := train.LoadDBFile(path)
-	if err != nil {
-		t.Fatalf("flushed window unreadable as training DB: %v", err)
-	}
-	if len(db.Samples) != 15 {
-		t.Fatalf("flushed DB has %d samples, want 15", len(db.Samples))
-	}
-
-	// Aux-aware reader: full outcomes, rebuilding equivalent drift state.
-	outs, err := LoadWindowFile(path, m.limits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 15 {
-		t.Fatalf("loaded %d outcomes, want 15", len(outs))
-	}
-	fresh := newTestManager(t)
-	fresh.AdoptOutcomes(outs)
-	if got, want := fresh.drift.state(), m.drift.state(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("adopted drift state differs:\n got %+v\nwant %+v", got, want)
-	}
-	if fresh.FeedbackWindow().Len() != m.FeedbackWindow().Len() {
-		t.Fatal("adopted window length differs")
-	}
-	// Drift survives: the same signal is armed on both sides.
-	if fresh.Drift().Drifting("tree") != m.Drift().Drifting("tree") {
-		t.Fatal("drift signal state differs after window reload")
-	}
-}
-
 // TestWindowAutoFlush: the background flush ticker persists the window
 // without any explicit call.
 func TestWindowAutoFlush(t *testing.T) {
@@ -338,20 +292,11 @@ func TestWindowAutoFlush(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	m.Stop()
-	outs, err := LoadWindowFile(path, m.limits)
+	db, err := train.LoadDBFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(outs) == 0 {
+	if len(db.Samples) == 0 {
 		t.Fatal("auto-flushed window is empty")
-	}
-}
-
-// TestSaveWindowStillGuardsEmpty: the public SaveWindow keeps its
-// empty-window error contract.
-func TestSaveWindowStillGuardsEmpty(t *testing.T) {
-	m := newTestManager(t)
-	if err := m.SaveWindow(filepath.Join(t.TempDir(), "w.hmdb")); err == nil {
-		t.Fatal("empty window saved without error")
 	}
 }

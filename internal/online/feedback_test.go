@@ -3,6 +3,7 @@ package online
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -74,10 +75,10 @@ func TestWindowEvictsOldest(t *testing.T) {
 	}
 }
 
-// TestSaveWindowRoundTrip: the feedback window persists in the offline
+// TestFlushWindowRoundTrip: the feedback window persists in the offline
 // store format and loads back through the same LoadDB path /v1/reload
 // uses — online feedback and hmtrain output are interchangeable.
-func TestSaveWindowRoundTrip(t *testing.T) {
+func TestFlushWindowRoundTrip(t *testing.T) {
 	pair := machine.PrimaryPair()
 	m := New(Options{Pair: pair, Model: "tree"})
 	for i := 0; i < 5; i++ {
@@ -87,7 +88,7 @@ func TestSaveWindowRoundTrip(t *testing.T) {
 		t.Fatalf("tick processed %d, want 5", got)
 	}
 	path := filepath.Join(t.TempDir(), "window.hmdb")
-	if err := m.SaveWindow(path); err != nil {
+	if err := m.FlushWindow(path); err != nil {
 		t.Fatal(err)
 	}
 	db, err := train.LoadDBFile(path)
@@ -106,8 +107,12 @@ func TestSaveWindowRoundTrip(t *testing.T) {
 		}
 	}
 
-	empty := New(Options{Pair: pair})
-	if err := empty.SaveWindow(path); err == nil {
-		t.Fatal("saving an empty window unexpectedly succeeded")
+	// An empty window writes nothing.
+	emptyPath := filepath.Join(t.TempDir(), "empty.hmdb")
+	if err := New(Options{Pair: pair}).FlushWindow(emptyPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(emptyPath); !os.IsNotExist(err) {
+		t.Fatalf("empty window flush left a file: %v", err)
 	}
 }

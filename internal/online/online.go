@@ -37,7 +37,6 @@
 package online
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -52,7 +51,8 @@ import (
 	"heteromap/internal/train"
 )
 
-// Defaults for Options fields left zero.
+// Defaults for Options fields left zero, and the learning loop's fixed
+// sizes, which no option changes.
 const (
 	DefaultIngestCap      = 4096
 	DefaultIngestShards   = 8
@@ -95,8 +95,6 @@ type Options struct {
 	// on (the drift signal and retraining are tracked under this name).
 	Model string
 
-	// IngestCap bounds the pending feedback ring (default 4096).
-	IngestCap int
 	// WindowSize bounds the sliding outcome window (default 2048).
 	WindowSize int
 
@@ -112,16 +110,10 @@ type Options struct {
 	// stride-sampled from the full enumeration — 696 on the primary
 	// pair — so a probe stays microsecond-bounded).
 	ProbeCap int
-	// ProbeQuantile is the residual quantile used to deflate confidence
-	// (default 0.9).
-	ProbeQuantile float64
 
 	// RetrainMin is the minimum window size before a shadow retrain is
 	// attempted (default 256).
 	RetrainMin int
-	// HoldoutFrac is the window fraction replayed as holdout when
-	// scoring shadow vs live (default 0.25).
-	HoldoutFrac float64
 	// ShadowDir is where shadow databases are written; empty disables
 	// retraining.
 	ShadowDir string
@@ -135,9 +127,6 @@ type Options struct {
 	// Tracer, when set, receives retrain/promotion log events.
 	Tracer *obs.Tracer
 
-	// DrainBatch bounds samples processed per collector tick (default
-	// 512).
-	DrainBatch int
 	// Interval is the background collector period (default 250ms).
 	Interval time.Duration
 
@@ -146,14 +135,12 @@ type Options struct {
 	// plus drift state snapshot periodically to <dir>/window.snap, with
 	// the full recovery ladder run at construction. Empty disables.
 	DurableDir string
-	// WALSegmentBytes overrides the feedback WAL's rotation threshold.
-	WALSegmentBytes int64
 	// SnapshotTicks is the durable-snapshot cadence in collector ticks
 	// (default DefaultSnapshotTicks when DurableDir is set).
 	SnapshotTicks int
 	// WindowFlushEvery enables the periodic window auto-flush: every
 	// interval the window is persisted to WindowFlushPath as a training
-	// database with outcomes attached (FlushWindow). Zero disables.
+	// database (FlushWindow). Zero disables.
 	WindowFlushEvery time.Duration
 	// WindowFlushPath is where the auto-flush writes.
 	WindowFlushPath string
@@ -163,9 +150,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.IngestCap <= 0 {
-		o.IngestCap = DefaultIngestCap
-	}
 	if o.WindowSize <= 0 {
 		o.WindowSize = DefaultWindowSize
 	}
@@ -181,17 +165,8 @@ func (o Options) withDefaults() Options {
 	if o.ProbeCap <= 0 {
 		o.ProbeCap = DefaultProbeCap
 	}
-	if o.ProbeQuantile <= 0 || o.ProbeQuantile > 1 {
-		o.ProbeQuantile = DefaultProbeQuantile
-	}
 	if o.RetrainMin <= 0 {
 		o.RetrainMin = DefaultRetrainMin
-	}
-	if o.HoldoutFrac <= 0 || o.HoldoutFrac >= 1 {
-		o.HoldoutFrac = DefaultHoldoutFrac
-	}
-	if o.DrainBatch <= 0 {
-		o.DrainBatch = DefaultDrainBatch
 	}
 	if o.Interval <= 0 {
 		o.Interval = DefaultInterval
@@ -258,7 +233,7 @@ func New(opts Options) *Manager {
 		limits:     limits,
 		candidates: cands,
 		probeSet:   capCandidates(cands, opts.ProbeCap),
-		ingest:     newIngestRing(opts.IngestCap, DefaultIngestShards),
+		ingest:     newIngestRing(DefaultIngestCap, DefaultIngestShards),
 		window:     NewWindow(opts.WindowSize),
 		drift:      NewDetector(opts.DriftAlpha, opts.DriftThreshold, opts.DriftWindow),
 		residQ:     make(map[string]float64),
@@ -350,7 +325,7 @@ func (m *Manager) Stop() {
 // with enough window — runs one shadow retrain. It returns the number
 // of samples processed. Deterministic tests call this directly.
 func (m *Manager) Tick() int {
-	batch := m.ingest.Drain(m.opts.DrainBatch)
+	batch := m.ingest.Drain(DefaultDrainBatch)
 	for _, s := range batch {
 		o := m.collect(s)
 		m.journal(o)
@@ -449,7 +424,7 @@ func (m *Manager) refreshResiduals() {
 	}
 	q := make(map[string]float64, len(byPred))
 	for name, gaps := range byPred {
-		q[name] = quantile(gaps, m.opts.ProbeQuantile)
+		q[name] = quantile(gaps, DefaultProbeQuantile)
 	}
 	m.mu.Lock()
 	m.residQ = q
@@ -507,14 +482,3 @@ func (m *Manager) Drift() *Detector { return m.drift }
 
 // Pending reports samples awaiting collection.
 func (m *Manager) Pending() int { return m.ingest.Pending() }
-
-// SaveWindow persists the current feedback window as a training
-// database in the offline store format — hmtrain output and online
-// feedback are interchangeable artifacts — with every outcome attached
-// as an aux blob so LoadWindowFile can rebuild the full drift picture.
-func (m *Manager) SaveWindow(path string) error {
-	if m.window.Len() == 0 {
-		return fmt.Errorf("online: feedback window is empty")
-	}
-	return m.FlushWindow(path)
-}

@@ -94,7 +94,7 @@ func (m *Manager) RetrainNow(model string) (RetrainReport, error) {
 	// live side by side. The gap per holdout cell reuses the outcome's
 	// recorded exhaustive best, so the comparison costs one realize call
 	// per side per cell.
-	nHold := int(float64(len(outs)) * m.opts.HoldoutFrac)
+	nHold := int(float64(len(outs)) * DefaultHoldoutFrac)
 	if nHold < 1 {
 		nHold = 1
 	}
@@ -127,7 +127,7 @@ func (m *Manager) RetrainNow(model string) (RetrainReport, error) {
 	// through the bound canary path: a corrupt or regressed shadow
 	// quarantines exactly like a bad operator-initiated reload.
 	path := filepath.Join(shadowDir, fmt.Sprintf("shadow-%s-%d.hmdb", model, seq))
-	if err := db.SaveFile(path); err != nil {
+	if err := db.SaveFile(path, nil); err != nil {
 		rep.Reason = "shadow save failed: " + err.Error()
 		m.rejections.Add(1)
 		return rep, err

@@ -178,7 +178,7 @@ func refTrain(n *Network, samples []predict.Sample) {
 				refSampleGrad(n, s.Features[:], s.Target[:])
 			}
 			for _, l := range n.layers {
-				refAdamStep(l, n.opts.LearningRate, float64(end-start))
+				refAdamStep(l, learningRate, float64(end-start))
 			}
 		}
 	}

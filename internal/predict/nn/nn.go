@@ -28,8 +28,6 @@ type Options struct {
 	Epochs int
 	// BatchSize is the mini-batch size (default 32).
 	BatchSize int
-	// LearningRate is Adam's step size (default 2e-3).
-	LearningRate float64
 	// Seed fixes weight initialization and shuffling.
 	Seed int64
 }
@@ -47,9 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BatchSize <= 0 {
 		o.BatchSize = 32
-	}
-	if o.LearningRate <= 0 {
-		o.LearningRate = 2e-3
 	}
 	if o.Seed == 0 {
 		o.Seed = 1

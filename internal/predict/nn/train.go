@@ -6,10 +6,12 @@ import (
 	"heteromap/internal/predict"
 )
 
+// Adam's step size and moment constants.
 const (
-	adamBeta1 = 0.9
-	adamBeta2 = 0.999
-	adamEps   = 1e-8
+	learningRate = 2e-3
+	adamBeta1    = 0.9
+	adamBeta2    = 0.999
+	adamEps      = 1e-8
 )
 
 // trainer is the workspace of one Train call. A mini-batch runs in four
@@ -85,7 +87,7 @@ func (t *trainer) gradients(batch []int) {
 // adamStep runs phase 4: one Adam step per parameter on the gradients
 // averaged over the current mini-batch.
 func (t *trainer) adamStep() {
-	lr, batch := t.n.opts.LearningRate, float64(len(t.batch))
+	lr, batch := learningRate, float64(len(t.batch))
 	for _, l := range t.n.layers {
 		l.t++
 		c1 := 1 - math.Pow(adamBeta1, l.t)

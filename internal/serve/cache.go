@@ -77,6 +77,9 @@ type cacheEntry struct {
 	val cachedPrediction
 }
 
+// cacheShards is the shard count of a server's prediction cache.
+const cacheShards = 16
+
 // NewCache builds a cache holding up to capacity entries across the
 // given number of shards (both floored at 1; capacity is split evenly).
 func NewCache(capacity, shards int) *Cache {

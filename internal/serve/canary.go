@@ -11,6 +11,7 @@ import (
 	"heteromap/internal/algo"
 	"heteromap/internal/config"
 	"heteromap/internal/durable"
+	"heteromap/internal/feature"
 )
 
 // GoldenCase is one held-out validation pair for canary reloads: a
@@ -60,7 +61,7 @@ func (c *CanaryConfig) Validate(m *Model) (CanaryReport, error) {
 	}
 	step := c.Step
 	if step <= 0 {
-		step = defaultStep()
+		step = feature.DiscretizationStep
 	}
 	for i := range c.Cases {
 		gc := &c.Cases[i]
@@ -133,7 +134,7 @@ func SaveGoldenSet(path string, cases []GoldenCase) error {
 // with the reference's behaviour on these characterizations.
 func RecordGoldenSet(ref *Model, reqs []PredictRequest, step float64) ([]GoldenCase, error) {
 	if step <= 0 {
-		step = defaultStep()
+		step = feature.DiscretizationStep
 	}
 	cases := make([]GoldenCase, 0, len(reqs))
 	for i := range reqs {

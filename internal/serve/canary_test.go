@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"heteromap/internal/config"
+	"heteromap/internal/feature"
 	"heteromap/internal/machine"
 	"heteromap/internal/predict"
 	"heteromap/internal/train"
@@ -62,7 +63,7 @@ func dbForGolden(t *testing.T, r *Registry, cases []GoldenCase, m config.M) *tra
 	limits := r.Pair().Limits()
 	db := &train.DB{Pair: r.Pair(), Limits: limits}
 	for i := range cases {
-		feat, err := ResolveFeatures(&cases[i].Req, defaultStep())
+		feat, err := ResolveFeatures(&cases[i].Req, feature.DiscretizationStep)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func TestReloadCanaryAcceptsAgreeingRejectsWrongModel(t *testing.T) {
 func TestReloadRollbackOnCorruptAndEmptyDB(t *testing.T) {
 	r, canary, cases := goldenFixture(t)
 	active, _ := r.Get("live")
-	feat, err := ResolveFeatures(&cases[0].Req, defaultStep())
+	feat, err := ResolveFeatures(&cases[0].Req, feature.DiscretizationStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,32 +170,6 @@ func TestReloadRollbackOnCorruptAndEmptyDB(t *testing.T) {
 	}
 	if len(r.Quarantined()) != 2 {
 		t.Fatalf("quarantine = %+v", r.Quarantined())
-	}
-}
-
-// Manual rollback reinstates last-known-good; a name that never swapped
-// has nothing to roll back to.
-func TestRegistryRollback(t *testing.T) {
-	r, _, _ := goldenFixture(t)
-	if _, err := r.Rollback("live"); err == nil {
-		t.Fatal("rollback with no last-known-good succeeded")
-	}
-	v1, _ := r.Get("live")
-	v2, err := r.Register("live", "v2", fixedPred{m: config.DefaultMulticore(r.Pair().Limits())})
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := r.Rollback("live")
-	if err != nil || back != v1 {
-		t.Fatalf("rollback = %v, %v", back, err)
-	}
-	if active, _ := r.Get("live"); active != v1 {
-		t.Fatal("rollback did not reinstate v1")
-	}
-	// The rolled-back-from version becomes the new last-known-good, so a
-	// second rollback flips forward again.
-	if fwd, err := r.Rollback("live"); err != nil || fwd != v2 {
-		t.Fatalf("second rollback = %v, %v", fwd, err)
 	}
 }
 

@@ -291,7 +291,7 @@ func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps
 	var hits, misses []batchItem
 	_, sp := obs.StartSpan(ctx, "resolve")
 	for i := range reqs {
-		feat, err := ResolveFeatures(&reqs[i], s.opts.Step)
+		feat, err := ResolveFeatures(&reqs[i], feature.DiscretizationStep)
 		var model *Model
 		if err == nil {
 			model, err = s.model(ctx, reqs[i].Model)

@@ -246,24 +246,6 @@ func (r *Registry) SetDefault(name string) error {
 	return nil
 }
 
-// Rollback reinstates a name's last-known-good snapshot as the active
-// entry (the manual half of self-healing; canary rejections never need
-// it because a rejected candidate is never installed).
-func (r *Registry) Rollback(name string) (*Model, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if name == "" {
-		name = r.defaultName
-	}
-	prev, ok := r.lastGood[name]
-	if !ok {
-		return nil, fmt.Errorf("serve: model %q has no last-known-good version", name)
-	}
-	r.lastGood[name] = r.models[name]
-	r.models[name] = prev
-	return prev, nil
-}
-
 // Quarantine records a rejected candidate without installing anything,
 // keeping the newest maxQuarantine entries.
 func (r *Registry) Quarantine(info QuarantineInfo) {

@@ -36,17 +36,14 @@ type Options struct {
 	// caller must populate before serving predictions.
 	Registry *Registry
 
-	// CacheSize / CacheShards size the prediction cache (4096 / 16).
-	CacheSize   int
-	CacheShards int
+	// CacheSize bounds the prediction cache (4096 entries, in
+	// cacheShards shards).
+	CacheSize int
 	// QueueSize bounds the miss passes answered concurrently (1024). A
 	// single request's miss takes one slot, and so do a batch's misses
 	// under one model snapshot; a pass beyond the bound is shed with 503
 	// and a Retry-After hint.
 	QueueSize int
-	// Step is the feature discretization increment
-	// (feature.DiscretizationStep).
-	Step float64
 	// RequestTimeout bounds one prediction end to end (5s); a miss whose
 	// deadline passes before its answer is ready gets 504.
 	RequestTimeout time.Duration
@@ -92,9 +89,9 @@ type Options struct {
 	// default tracer unless DisableTracing is set. Supply one explicitly
 	// to control sampling, ring size or the log sink.
 	Tracer *obs.Tracer
-	// DisableTracing turns request tracing off entirely (the
-	// obs-overhead benchmark measures this split; production servers
-	// should leave it on).
+	// DisableTracing turns request tracing off entirely (perfbench's
+	// ladder prices tracing against a twin built with it; production
+	// servers should leave it on).
 	DisableTracing bool
 
 	// SLO tracks availability and p99-latency objectives over the served
@@ -113,14 +110,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 4096
 	}
-	if o.CacheShards <= 0 {
-		o.CacheShards = 16
-	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 1024
-	}
-	if o.Step <= 0 {
-		o.Step = feature.DiscretizationStep
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 5 * time.Second
@@ -142,10 +133,6 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
-
-// defaultStep is the discretization increment used when no explicit step
-// is configured.
-func defaultStep() float64 { return feature.DiscretizationStep }
 
 // Server is the prediction service: registry -> cache -> predictor ->
 // metrics behind an HTTP/JSON API, with canary-gated reloads,
@@ -200,7 +187,7 @@ func New(opts Options) *Server {
 	}
 	reg.SetBreakerPolicy(opts.BreakerThreshold, opts.BreakerCooldown)
 	metrics := NewMetrics()
-	cache := NewCache(opts.CacheSize, opts.CacheShards)
+	cache := NewCache(opts.CacheSize, cacheShards)
 	s := &Server{
 		opts:     opts,
 		registry: reg,
@@ -322,9 +309,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // node exit produce zero 5xx.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Kill abruptly stops the server without draining: the listener and all
 // active connections are closed immediately, resetting in-flight
 // requests. It is the in-process stand-in for kill -9 in the cluster
@@ -389,7 +373,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func(
 // behind.
 func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictResponse, int, error) {
 	rctx, sp := obs.StartSpan(ctx, "resolve")
-	feat, err := ResolveFeatures(req, s.opts.Step)
+	feat, err := ResolveFeatures(req, feature.DiscretizationStep)
 	if err != nil {
 		sp.EndErr(err)
 		return PredictResponse{}, http.StatusBadRequest, err

@@ -1,7 +1,6 @@
 package train
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -149,15 +148,4 @@ func (db *DB) Split(holdoutFrac float64, seed int64) (train, holdout []predict.S
 		}
 	}
 	return train, holdout
-}
-
-// TrainAll fits every trainable predictor on the database, returning the
-// first error.
-func (db *DB) TrainAll(preds ...predict.Trainable) error {
-	for _, p := range preds {
-		if err := p.Train(db.Samples); err != nil {
-			return fmt.Errorf("train %s: %w", p.Name(), err)
-		}
-	}
-	return nil
 }

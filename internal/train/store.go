@@ -38,10 +38,9 @@ import (
 // verify). Every HMD2 load verifies per-record and whole-file checksums
 // before a byte is believed: a torn or bit-rotted database fails with
 // ErrCorrupt and is quarantined by its consumer, never parse-and-prayed
-// into serving. The optional per-sample aux blob carries consumer
-// private data (the online layer stores full feedback outcomes there);
-// LoadDB ignores it, so a window snapshot is still a valid database to
-// every existing reader.
+// into serving. Save writes every aux length as 0; LoadDB still
+// checksums and skips aux bytes, so databases written with per-sample
+// aux blobs (earlier builds stored feedback outcomes there) still load.
 const (
 	storeMagic    = "HMDB" // legacy, unchecksummed
 	storeMagicV2  = "HMD2"
@@ -82,14 +81,6 @@ func (cr *storeCRCReader) Read(p []byte) (int, error) {
 
 // Save serializes the database in the checksummed HMD2 format.
 func (db *DB) Save(w io.Writer) error {
-	return db.SaveAux(w, nil)
-}
-
-// SaveAux serializes the database with one optional aux blob per sample
-// (aux may be nil, or shorter than the sample count; missing entries
-// write as empty). Aux rides inside the per-sample checksummed record,
-// so it shares the format's integrity guarantees.
-func (db *DB) SaveAux(w io.Writer, aux [][]byte) error {
 	bw := bufio.NewWriter(w)
 	cw := &storeCRCWriter{w: bw}
 	le := binary.LittleEndian
@@ -112,12 +103,7 @@ func (db *DB) SaveAux(w io.Writer, aux [][]byte) error {
 	}
 	rec := make([]byte, 0, sampleRecordBase)
 	for i := range db.Samples {
-		s := &db.Samples[i]
-		var a []byte
-		if i < len(aux) {
-			a = aux[i]
-		}
-		rec = appendSampleRecord(rec[:0], s, a)
+		rec = appendSampleRecord(rec[:0], &db.Samples[i])
 		if _, err := cw.Write(rec); err != nil {
 			return err
 		}
@@ -143,8 +129,9 @@ func (db *DB) SaveAux(w io.Writer, aux [][]byte) error {
 // features, the target, and the aux length prefix.
 const sampleRecordBase = len(feature.Vector{})*8 + len(predict.Sample{}.Target)*8 + 4
 
-// appendSampleRecord appends one sample's record bytes (sans CRC).
-func appendSampleRecord(rec []byte, s *predict.Sample, aux []byte) []byte {
+// appendSampleRecord appends one sample's record bytes (sans CRC), with
+// an aux length of 0.
+func appendSampleRecord(rec []byte, s *predict.Sample) []byte {
 	le := binary.LittleEndian
 	var b [8]byte
 	for _, f := range s.Features {
@@ -155,29 +142,19 @@ func appendSampleRecord(rec []byte, s *predict.Sample, aux []byte) []byte {
 		le.PutUint64(b[:], math.Float64bits(t))
 		rec = append(rec, b[:]...)
 	}
-	le.PutUint32(b[:4], uint32(len(aux)))
-	rec = append(rec, b[:4]...)
-	rec = append(rec, aux...)
-	return rec
+	return append(rec, 0, 0, 0, 0)
 }
 
 // SaveFile writes the database to path atomically (write-temp + fsync +
 // rename): a crash at any point leaves either the previous database or
 // no file at all — never a torn prefix under the real name. LoadDB
 // independently rejects torn input, so even a stray temp file can never
-// be mistaken for a database.
-func (db *DB) SaveFile(path string) error {
-	return db.SaveFileAux(path, nil, nil)
-}
-
-// SaveFileAux is SaveFile with per-sample aux blobs and the
-// crash-injection seam: kill (nil in production) can die the write at a
-// deterministic byte offset under the "store" target, leaving exactly
-// the torn temp a real kill -9 would.
-func (db *DB) SaveFileAux(path string, aux [][]byte, kill durable.KillFunc) error {
-	err := durable.WriteFileAtomic(path, "store", kill, func(w io.Writer) error {
-		return db.SaveAux(w, aux)
-	})
+// be mistaken for a database. kill (nil in production) is the
+// crash-injection seam: it can die the write at a deterministic byte
+// offset under the "store" target, leaving exactly the torn temp a real
+// kill -9 would.
+func (db *DB) SaveFile(path string, kill durable.KillFunc) error {
+	err := durable.WriteFileAtomic(path, "store", kill, db.Save)
 	if err != nil {
 		return fmt.Errorf("train: save %s: %w", path, err)
 	}
@@ -195,67 +172,29 @@ func LoadDBFile(path string) (*DB, error) {
 	return LoadDB(f)
 }
 
-// VerifyFile fully loads and checksum-verifies a database file without
-// keeping it: the recovery ladder's artifact check. A nil error means
-// every record parsed and (for HMD2) every checksum held; ErrCorrupt
-// (wrapped) means the artifact must be quarantined.
-func VerifyFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("train: verify %s: %w", path, err)
-	}
-	defer f.Close()
-	if _, _, err := loadDBAux(f); err != nil {
-		return fmt.Errorf("train: verify %s: %w", path, err)
-	}
-	return nil
-}
-
 // LoadDB deserializes a database saved by Save (either generation). The
 // accelerator pair is re-resolved by name against the built-in catalog
 // so the cost-model coefficients always come from the running binary,
 // not the file.
 func LoadDB(r io.Reader) (*DB, error) {
-	db, _, err := loadDBAux(r)
-	return db, err
-}
-
-// LoadDBAux is LoadDB returning the per-sample aux blobs too (nil for
-// legacy databases, and nil entries for samples written without aux).
-func LoadDBAux(r io.Reader) (*DB, [][]byte, error) {
-	return loadDBAux(r)
-}
-
-// LoadDBAuxFile is LoadDBAux over a file.
-func LoadDBAuxFile(path string) (*DB, [][]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("train: load %s: %w", path, err)
-	}
-	defer f.Close()
-	return loadDBAux(f)
-}
-
-func loadDBAux(r io.Reader) (*DB, [][]byte, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, fmt.Errorf("train: reading magic: %w", err)
+		return nil, fmt.Errorf("train: reading magic: %w", err)
 	}
 	switch string(magic) {
 	case storeMagic:
-		db, err := loadLegacy(br)
-		return db, nil, err
+		return loadLegacy(br)
 	case storeMagicV2:
 		return loadV2(br)
 	}
-	return nil, nil, fmt.Errorf("train: bad magic %q", magic)
+	return nil, fmt.Errorf("train: bad magic %q", magic)
 }
 
 // loadV2 reads the checksummed format. Integrity failures wrap
 // ErrCorrupt; format/catalog failures (unknown pair, implausible sizes)
 // stay plain errors.
-func loadV2(br *bufio.Reader) (*DB, [][]byte, error) {
+func loadV2(br *bufio.Reader) (*DB, error) {
 	cr := &storeCRCReader{r: br}
 	// The magic was consumed before dispatch; fold it back into the
 	// running CRC so the seal covers the whole file.
@@ -266,27 +205,27 @@ func loadV2(br *bufio.Reader) (*DB, [][]byte, error) {
 	}
 	var scratch [16]byte
 	if _, err := io.ReadFull(cr, scratch[:4]); err != nil {
-		return nil, nil, corrupt("truncated header: %v", err)
+		return nil, corrupt("truncated header: %v", err)
 	}
 	nameLen := le.Uint32(scratch[:4])
 	if nameLen > 1<<12 {
-		return nil, nil, fmt.Errorf("train: implausible pair-name length %d", nameLen)
+		return nil, fmt.Errorf("train: implausible pair-name length %d", nameLen)
 	}
 	nameBytes := make([]byte, nameLen)
 	if _, err := io.ReadFull(cr, nameBytes); err != nil {
-		return nil, nil, corrupt("truncated header: %v", err)
+		return nil, corrupt("truncated header: %v", err)
 	}
 	pair, err := pairByName(string(nameBytes))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if _, err := io.ReadFull(cr, scratch[:12]); err != nil {
-		return nil, nil, corrupt("truncated header: %v", err)
+		return nil, corrupt("truncated header: %v", err)
 	}
 	objective := le.Uint32(scratch[0:4])
 	count := le.Uint64(scratch[4:12])
 	if count > 1<<24 {
-		return nil, nil, fmt.Errorf("train: implausible sample count %d", count)
+		return nil, fmt.Errorf("train: implausible sample count %d", count)
 	}
 	db := &DB{
 		Pair:      pair,
@@ -294,30 +233,28 @@ func loadV2(br *bufio.Reader) (*DB, [][]byte, error) {
 		Objective: Objective(objective),
 		Samples:   make([]predict.Sample, count),
 	}
-	var aux [][]byte
 	rec := make([]byte, sampleRecordBase)
 	for i := range db.Samples {
 		if _, err := io.ReadFull(cr, rec[:sampleRecordBase]); err != nil {
-			return nil, nil, corrupt("truncated at sample %d: %v", i, err)
+			return nil, corrupt("truncated at sample %d: %v", i, err)
 		}
 		auxLen := le.Uint32(rec[sampleRecordBase-4 : sampleRecordBase])
 		if auxLen > 1<<20 {
-			return nil, nil, corrupt("sample %d: implausible aux length %d", i, auxLen)
+			return nil, corrupt("sample %d: implausible aux length %d", i, auxLen)
 		}
 		recCRC := crc32.Checksum(rec[:sampleRecordBase], storeCRCTable)
-		var auxBytes []byte
 		if auxLen > 0 {
-			auxBytes = make([]byte, auxLen)
+			auxBytes := make([]byte, auxLen)
 			if _, err := io.ReadFull(cr, auxBytes); err != nil {
-				return nil, nil, corrupt("truncated at sample %d aux: %v", i, err)
+				return nil, corrupt("truncated at sample %d aux: %v", i, err)
 			}
 			recCRC = crc32.Update(recCRC, storeCRCTable, auxBytes)
 		}
 		if _, err := io.ReadFull(cr, scratch[:4]); err != nil {
-			return nil, nil, corrupt("truncated at sample %d checksum: %v", i, err)
+			return nil, corrupt("truncated at sample %d checksum: %v", i, err)
 		}
 		if le.Uint32(scratch[:4]) != recCRC {
-			return nil, nil, corrupt("sample %d checksum mismatch", i)
+			return nil, corrupt("sample %d checksum mismatch", i)
 		}
 		s := &db.Samples[i]
 		off := 0
@@ -329,31 +266,25 @@ func loadV2(br *bufio.Reader) (*DB, [][]byte, error) {
 			s.Target[j] = math.Float64frombits(le.Uint64(rec[off : off+8]))
 			off += 8
 		}
-		if auxBytes != nil {
-			if aux == nil {
-				aux = make([][]byte, count)
-			}
-			aux[i] = auxBytes
-		}
 	}
 	sealed := cr.crc
 	// Footer sits outside the running CRC: seal, count echo, end magic.
 	if _, err := io.ReadFull(br, scratch[:16]); err != nil {
-		return nil, nil, corrupt("unsealed: missing footer: %v", err)
+		return nil, corrupt("unsealed: missing footer: %v", err)
 	}
 	if le.Uint32(scratch[0:4]) != sealed {
-		return nil, nil, corrupt("file checksum mismatch")
+		return nil, corrupt("file checksum mismatch")
 	}
 	if le.Uint64(scratch[4:12]) != count {
-		return nil, nil, corrupt("footer count mismatch")
+		return nil, corrupt("footer count mismatch")
 	}
 	if string(scratch[12:16]) != storeEndMagic {
-		return nil, nil, corrupt("bad end magic %q", scratch[12:16])
+		return nil, corrupt("bad end magic %q", scratch[12:16])
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, nil, corrupt("trailing bytes after seal")
+		return nil, corrupt("trailing bytes after seal")
 	}
-	return db, aux, nil
+	return db, nil
 }
 
 // loadLegacy reads the pre-checksum HMDB format (compat path): parse

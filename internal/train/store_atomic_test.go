@@ -19,7 +19,7 @@ func testDB(t *testing.T) *DB {
 func TestSaveFileRoundTrip(t *testing.T) {
 	db := testDB(t)
 	path := filepath.Join(t.TempDir(), "db.hmdb")
-	if err := db.SaveFile(path); err != nil {
+	if err := db.SaveFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadDBFile(path)
@@ -68,7 +68,7 @@ func TestSaveFileFailureLeavesTargetIntact(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.hmdb")
-	if err := db.SaveFile(path); err != nil {
+	if err := db.SaveFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -77,7 +77,7 @@ func TestSaveFileFailureLeavesTargetIntact(t *testing.T) {
 	}
 
 	// A save into a missing directory fails before any rename.
-	if err := db.SaveFile(filepath.Join(dir, "missing", "db.hmdb")); err == nil {
+	if err := db.SaveFile(filepath.Join(dir, "missing", "db.hmdb"), nil); err == nil {
 		t.Fatal("save into a missing directory unexpectedly succeeded")
 	}
 

@@ -11,6 +11,7 @@ import (
 
 	"heteromap/internal/durable"
 	"heteromap/internal/machine"
+	"heteromap/internal/predict"
 )
 
 // TestLegacyCompatLoad: a database written in the pre-checksum HMDB
@@ -21,12 +22,9 @@ func TestLegacyCompatLoad(t *testing.T) {
 	if err := db.SaveLegacy(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, aux, err := LoadDBAux(bytes.NewReader(buf.Bytes()))
+	got, err := LoadDB(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("legacy database rejected: %v", err)
-	}
-	if aux != nil {
-		t.Fatal("legacy database reported aux blobs")
 	}
 	if len(got.Samples) != len(db.Samples) {
 		t.Fatalf("loaded %d samples, want %d", len(got.Samples), len(db.Samples))
@@ -38,41 +36,57 @@ func TestLegacyCompatLoad(t *testing.T) {
 	}
 }
 
-// TestSaveAuxRoundTrip: per-sample aux blobs ride inside the sealed
-// format and come back byte-identical, while plain LoadDB ignores them.
-func TestSaveAuxRoundTrip(t *testing.T) {
-	db := testDB(t)
-	aux := make([][]byte, len(db.Samples))
-	for i := range aux {
-		if i%2 == 0 {
-			aux[i] = []byte(fmt.Sprintf("outcome-%d", i))
-		}
-	}
-	path := filepath.Join(t.TempDir(), "db.hmdb")
-	if err := db.SaveFileAux(path, aux, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, gotAux, err := LoadDBAuxFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Samples) != len(db.Samples) {
-		t.Fatalf("loaded %d samples, want %d", len(got.Samples), len(db.Samples))
-	}
-	for i := range aux {
-		if !bytes.Equal(gotAux[i], aux[i]) {
-			t.Fatalf("aux %d differs: %q != %q", i, gotAux[i], aux[i])
-		}
-	}
-	// The same file is a perfectly ordinary database to aux-blind readers.
-	plain, err := LoadDBFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+// auxFixtureDB is the database testdata/aux-v2.hmdb holds. An earlier
+// build wrote that file with per-sample aux blobs on samples 0, 2 and 3
+// ("outcome-0", four times "outcome-2 ", "outcome-3").
+func auxFixtureDB() *DB {
+	pair := machine.PrimaryPair()
+	db := &DB{Pair: pair, Limits: pair.Limits(), Objective: Energy, Samples: make([]predict.Sample, 4)}
 	for i := range db.Samples {
-		if plain.Samples[i] != db.Samples[i] {
-			t.Fatalf("sample %d differs for aux-blind reader", i)
+		s := &db.Samples[i]
+		for j := range s.Features {
+			s.Features[j] = float64(i) + float64(j)/64
 		}
+		for j := range s.Target {
+			s.Target[j] = float64((i+j)%21) / 20
+		}
+	}
+	return db
+}
+
+// TestLoadDBReadsAuxBearingFile: a database written with aux blobs still
+// loads sample for sample, and its aux bytes stay under the record
+// checksums, so a flipped aux byte fails with ErrCorrupt.
+func TestLoadDBReadsAuxBearingFile(t *testing.T) {
+	path := filepath.Join("testdata", "aux-v2.hmdb")
+	got, err := LoadDBFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := auxFixtureDB()
+	if got.Pair.Name() != want.Pair.Name() || got.Objective != want.Objective {
+		t.Fatalf("loaded %s/%v, want %s/%v", got.Pair.Name(), got.Objective, want.Pair.Name(), want.Objective)
+	}
+	if len(got.Samples) != len(want.Samples) {
+		t.Fatalf("loaded %d samples, want %d", len(got.Samples), len(want.Samples))
+	}
+	for i := range want.Samples {
+		if got.Samples[i] != want.Samples[i] {
+			t.Fatalf("sample %d differs", i)
+		}
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.Index(data, []byte("outcome-2"))
+	if i < 0 {
+		t.Fatal("fixture holds no aux blob")
+	}
+	data[i] ^= 0x01
+	if _, err := LoadDB(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped aux byte: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -105,40 +119,15 @@ func TestV2RejectsEveryByteFlip(t *testing.T) {
 	}
 }
 
-func TestVerifyFile(t *testing.T) {
-	db := testDB(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.hmdb")
-	if err := db.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyFile(path); err != nil {
-		t.Fatalf("pristine database failed verification: %v", err)
-	}
-	// Bit-rot a payload byte in place (past the header).
-	data, _ := os.ReadFile(path)
-	data[len(data)/2] ^= 0x08
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err := VerifyFile(path)
-	if err == nil {
-		t.Fatal("bit-rotted database passed verification")
-	}
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("verification error %v does not wrap ErrCorrupt", err)
-	}
-}
-
 // TestStoreKillPointSweep is the crash-safety property for the model
-// store: a kill injected at every byte offset of a SaveFileAux — plus
+// store: a kill injected at every byte offset of a SaveFile — plus
 // the commit window before the rename — leaves the committed predecessor
 // loadable and byte-intact, with only quarantinable temp litter behind.
 func TestStoreKillPointSweep(t *testing.T) {
 	db := testDB(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "db.hmdb")
-	if err := db.SaveFile(path); err != nil {
+	if err := db.SaveFile(path, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := os.ReadFile(path)
@@ -152,7 +141,7 @@ func TestStoreKillPointSweep(t *testing.T) {
 	}
 	for off := int64(0); off <= size; off += stride {
 		kill := func(string) (int64, bool) { return off, true }
-		err := db.SaveFileAux(path, nil, kill)
+		err := db.SaveFile(path, kill)
 		if err == nil {
 			t.Fatalf("offset %d: killed save reported success", off)
 		}
@@ -239,23 +228,24 @@ func FuzzLoadDB(f *testing.F) {
 	mut := append([]byte(nil), v2.Bytes()...)
 	mut[len(mut)-6] ^= 0x01
 	f.Add(mut)
+	withAux, err := os.ReadFile(filepath.Join("testdata", "aux-v2.hmdb"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(withAux)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, aux, err := LoadDBAux(bytes.NewReader(data))
+		got, err := LoadDB(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		if got == nil {
 			t.Fatal("nil database accepted without error")
 		}
-		// An accepted HMD2 input re-saves to a database with identical
-		// samples (the loader only accepts what the writer produces).
+		// An accepted HMD2 input re-saves to a database with the same
+		// sample count (the loader only accepts what a writer produces).
 		if len(data) >= 4 && string(data[:4]) == storeMagicV2 {
 			var rt bytes.Buffer
-			auxSlice := aux
-			if auxSlice == nil {
-				auxSlice = make([][]byte, len(got.Samples))
-			}
-			if err := got.SaveAux(&rt, auxSlice); err != nil {
+			if err := got.Save(&rt); err != nil {
 				t.Fatalf("accepted database failed re-save: %v", err)
 			}
 			back, err := LoadDB(bytes.NewReader(rt.Bytes()))
