@@ -479,7 +479,7 @@ func runServe(o systemOptions, so serveOptions, stdout, stderr io.Writer) error 
 		if err != nil {
 			return err
 		}
-		cases, err := serve.RecordGoldenSet(ref, serve.DefaultGoldenRequests(32, 1), 0)
+		cases, err := serve.RecordGoldenSet(ref, serve.DefaultGoldenRequests(32, 1))
 		if err != nil {
 			return err
 		}

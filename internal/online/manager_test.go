@@ -33,7 +33,7 @@ func badCells(t *testing.T, m *Manager, want int) []feature.Vector {
 		if bestCost <= 0 {
 			continue
 		}
-		if m.opts.Realize(job, gpu)/bestCost-1 > 0.5 {
+		if m.realize(job, gpu)/bestCost-1 > 0.5 {
 			cells = append(cells, f)
 		}
 	}
@@ -307,9 +307,9 @@ func TestProbeSweepsTheCappedSet(t *testing.T) {
 	for _, f := range cells {
 		// The probe must return the exact minimum over its capped set.
 		job := synthesizeJob(f)
-		wantM, wantCost := m.probeSet[0], m.opts.Realize(synthesizeJob(f), m.probeSet[0])
+		wantM, wantCost := m.probeSet[0], m.realize(synthesizeJob(f), m.probeSet[0])
 		for _, c := range m.probeSet[1:] {
-			if cost := m.opts.Realize(job, c); cost < wantCost {
+			if cost := m.realize(job, c); cost < wantCost {
 				wantM, wantCost = c, cost
 			}
 		}

@@ -79,11 +79,6 @@ type PromoteFunc func(model, path string) (uint64, error)
 // holdout replay scores the shadow candidate against it.
 type LiveFunc func(feature.Vector) config.M
 
-// RealizeFunc produces the realized cost of running a job under a
-// configuration. The default executes the machine models
-// (train.Metric); tests substitute skewed realities to provoke drift.
-type RealizeFunc func(machine.Job, config.M) float64
-
 // Options configures a Manager. Zero-valued fields take the package
 // defaults; Pair is required.
 type Options struct {
@@ -94,9 +89,6 @@ type Options struct {
 	// Model is the registry family whose serving this manager feeds back
 	// on (the drift signal and retraining are tracked under this name).
 	Model string
-
-	// WindowSize bounds the sliding outcome window (default 2048).
-	WindowSize int
 
 	// DriftAlpha, DriftThreshold, DriftWindow parameterize the detector.
 	DriftAlpha     float64
@@ -122,8 +114,6 @@ type Options struct {
 	// use to prove a bad retrain never serves.
 	MutateShadow func(path string) error
 
-	// Realize overrides the machine-model execution (tests only).
-	Realize RealizeFunc
 	// Tracer, when set, receives retrain/promotion log events.
 	Tracer *obs.Tracer
 
@@ -150,9 +140,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.WindowSize <= 0 {
-		o.WindowSize = DefaultWindowSize
-	}
 	if o.DriftAlpha <= 0 || o.DriftAlpha > 1 {
 		o.DriftAlpha = DefaultDriftAlpha
 	}
@@ -178,9 +165,9 @@ func (o Options) withDefaults() Options {
 }
 
 // cellTruth caches the expensive per-cell work: the synthesized job and
-// the exhaustive-sweep optimum. Under the default realize function both
-// are fully determined by the discretized key, so repeat observations
-// of a cell cost one candidate evaluation instead of a sweep.
+// the exhaustive-sweep optimum. Both are fully determined by the
+// discretized key, so repeat observations of a cell cost one candidate
+// evaluation instead of a sweep.
 type cellTruth struct {
 	job      machine.Job
 	bestM    config.M
@@ -234,22 +221,19 @@ func New(opts Options) *Manager {
 		candidates: cands,
 		probeSet:   capCandidates(cands, opts.ProbeCap),
 		ingest:     newIngestRing(DefaultIngestCap, DefaultIngestShards),
-		window:     NewWindow(opts.WindowSize),
+		window:     NewWindow(DefaultWindowSize),
 		drift:      NewDetector(opts.DriftAlpha, opts.DriftThreshold, opts.DriftWindow),
 		residQ:     make(map[string]float64),
 		cells:      make(map[feature.BinaryKey]cellTruth),
 	}
-	if m.opts.Realize == nil {
-		m.opts.Realize = func(job machine.Job, cfg config.M) float64 {
-			return train.Metric(opts.Pair, opts.Objective, job, cfg)
-		}
-	} else {
-		// A substituted reality may disagree with the machine models, so
-		// per-cell truth caching (keyed on the default realize) is off.
-		m.cells = nil
-	}
 	m.recoverDurable()
 	return m
+}
+
+// realize is the realized cost of running a job under a configuration:
+// the machine models' makespan or energy, per the objective.
+func (m *Manager) realize(job machine.Job, cfg config.M) float64 {
+	return train.Metric(m.opts.Pair, m.opts.Objective, job, cfg)
 }
 
 // capCandidates stride-samples the grid down to at most cap entries,
@@ -349,7 +333,7 @@ func (m *Manager) collect(s Sample) Outcome {
 		truth = cellTruth{job: job, bestM: bestM, bestCost: bestCost}
 		m.cellStore(s.Features, truth)
 	}
-	chosen := m.opts.Realize(truth.job, s.M)
+	chosen := m.realize(truth.job, s.M)
 	gap := 0.0
 	if truth.bestCost > 0 {
 		gap = chosen/truth.bestCost - 1
@@ -385,9 +369,9 @@ func synthesizeJob(f feature.Vector) machine.Job {
 func (m *Manager) groundTruth(f feature.Vector) (machine.Job, config.M, float64) {
 	job := synthesizeJob(f)
 	bestM := m.candidates[0]
-	bestCost := m.opts.Realize(job, bestM)
+	bestCost := m.realize(job, bestM)
 	for _, c := range m.candidates[1:] {
-		if cost := m.opts.Realize(job, c); cost < bestCost {
+		if cost := m.realize(job, c); cost < bestCost {
 			bestCost, bestM = cost, c
 		}
 	}
@@ -398,9 +382,6 @@ func (m *Manager) cellLookup(f feature.Vector) (cellTruth, bool) {
 	key := f.Binary()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cells == nil {
-		return cellTruth{}, false
-	}
 	t, ok := m.cells[key]
 	return t, ok
 }
@@ -409,9 +390,7 @@ func (m *Manager) cellStore(f feature.Vector, t cellTruth) {
 	key := f.Binary()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cells != nil {
-		m.cells[key] = t
-	}
+	m.cells[key] = t
 }
 
 // refreshResiduals recomputes the per-predictor residual gap quantile

@@ -34,7 +34,7 @@ func (m *Manager) Probe(f feature.Vector) (config.M, float64) {
 	}
 	job := m.probeJob(f)
 	res := tune.ExhaustiveSerial(m.probeSet, func(c config.M) float64 {
-		return m.opts.Realize(job, c)
+		return m.realize(job, c)
 	})
 	m.probes.Add(1)
 	return res.Best, res.Score

@@ -162,7 +162,7 @@ func (m *Manager) replayGap(job machine.Job, chosen config.M, bestCost float64) 
 	if bestCost <= 0 {
 		return 0
 	}
-	gap := m.opts.Realize(job, chosen)/bestCost - 1
+	gap := m.realize(job, chosen)/bestCost - 1
 	if gap < 0 {
 		gap = 0
 	}

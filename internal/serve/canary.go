@@ -37,9 +37,6 @@ type CanaryConfig struct {
 	// MaxMismatches bounds how many strict cases (WantM set) may
 	// disagree before the candidate is rejected.
 	MaxMismatches int
-	// Step is the feature discretization increment; 0 uses the server
-	// default at validation time.
-	Step float64
 }
 
 // CanaryReport summarizes one canary run, for /v1/reload responses and
@@ -59,13 +56,9 @@ func (c *CanaryConfig) Validate(m *Model) (CanaryReport, error) {
 		rep.Passed = true
 		return rep, nil
 	}
-	step := c.Step
-	if step <= 0 {
-		step = feature.DiscretizationStep
-	}
 	for i := range c.Cases {
 		gc := &c.Cases[i]
-		feat, err := ResolveFeatures(&gc.Req, step)
+		feat, err := ResolveFeatures(&gc.Req, feature.DiscretizationStep)
 		if err != nil {
 			return rep, fmt.Errorf("serve: canary case %d unusable: %w", i, err)
 		}
@@ -132,13 +125,10 @@ func SaveGoldenSet(path string, cases []GoldenCase) error {
 // RecordGoldenSet snapshots a reference model's answers over the given
 // requests, producing strict golden cases: future reloads must agree
 // with the reference's behaviour on these characterizations.
-func RecordGoldenSet(ref *Model, reqs []PredictRequest, step float64) ([]GoldenCase, error) {
-	if step <= 0 {
-		step = feature.DiscretizationStep
-	}
+func RecordGoldenSet(ref *Model, reqs []PredictRequest) ([]GoldenCase, error) {
 	cases := make([]GoldenCase, 0, len(reqs))
 	for i := range reqs {
-		feat, err := ResolveFeatures(&reqs[i], step)
+		feat, err := ResolveFeatures(&reqs[i], feature.DiscretizationStep)
 		if err != nil {
 			return nil, fmt.Errorf("serve: golden request %d: %w", i, err)
 		}

@@ -49,7 +49,7 @@ func goldenFixture(t *testing.T) (*Registry, *CanaryConfig, []GoldenCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases, err := RecordGoldenSet(ref, DefaultGoldenRequests(8, 3), 0)
+	cases, err := RecordGoldenSet(ref, DefaultGoldenRequests(8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,7 +265,7 @@ func TestGoldenSetSaveAtomic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases, err := RecordGoldenSet(ref, DefaultGoldenRequests(8, 1), 0)
+	cases, err := RecordGoldenSet(ref, DefaultGoldenRequests(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

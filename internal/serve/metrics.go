@@ -126,7 +126,7 @@ func (m *Metrics) Families(cache *Cache, queueDepth func() int, models []ModelIn
 		obs.Counter("heteromap_http_errors_total", "HTTP error responses", m.HTTPErrors.Load()),
 		obs.Counter("heteromap_queue_full_total", "requests rejected because the queue was full", m.QueueFull.Load()),
 		obs.Counter("heteromap_batches_total", "inference passes over a request's cache misses", m.Batches.Load()),
-		obs.Counter("heteromap_batch_items_total", "items answered by an inference pass: its rows, their singleflight followers and in-request repeats", m.BatchItems.Load()),
+		obs.Counter("heteromap_batch_items_total", "items answered by an inference pass: its rows and their in-request repeats", m.BatchItems.Load()),
 		obs.Counter("heteromap_fallback_events_total", "predictor fallback-chain degradations", m.Fallbacks.Load()),
 		obs.Counter("heteromap_model_reloads_total", "model hot-swap reloads", m.ReloadCount.Load()),
 		obs.Counter("heteromap_reload_rejected_total", "reloads whose candidate snapshot was quarantined", m.ReloadRejected.Load()),

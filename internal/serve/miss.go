@@ -2,11 +2,9 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"heteromap/internal/fault"
@@ -20,54 +18,10 @@ import (
 // latency for everyone.
 var ErrQueueFull = fmt.Errorf("serve: prediction queue full")
 
-// errInferenceAborted is what the followers of a flight get when its
-// leader's inference panicked before answering.
-var errInferenceAborted = errors.New("serve: inference aborted")
-
 // breakerSlowInference is the per-version breaker's latency rule: an
 // inference pass slower than this counts as a failure, as a degraded
 // answer does.
 const breakerSlowInference = 25 * time.Millisecond
-
-// flight is what followers of an in-progress miss inference wait on:
-// resp and err are written before done closes.
-type flight struct {
-	done chan struct{}
-	resp PredictResponse
-	err  error
-}
-
-// flightGroup is a singleflight keyed by CacheKey: N identical cold
-// requests run one inference (and one online probe), not N.
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[CacheKey]*flight
-}
-
-// join returns the key's flight and whether the caller leads it: a
-// leader runs the inference, a follower waits on the flight.
-func (g *flightGroup) join(key CacheKey) (f *flight, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		return f, false
-	}
-	if g.m == nil {
-		g.m = make(map[CacheKey]*flight)
-	}
-	f = &flight{done: make(chan struct{})}
-	g.m[key] = f
-	return f, true
-}
-
-// land retires the key's flight and hands its outcome to any followers.
-func (g *flightGroup) land(key CacheKey, f *flight, resp *PredictResponse, err error) {
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	f.resp, f.err = *resp, err
-	close(f.done)
-}
 
 // tryAdmit takes a miss-path admission slot without blocking.
 func (s *Server) tryAdmit() bool {
@@ -83,14 +37,10 @@ func (s *Server) tryAdmit() bool {
 // outcome: an answer, or an error and the HTTP status it carries.
 type missRow struct {
 	feat feature.Vector
-	key  CacheKey // under the admitted snapshot; it names the row's flight
 
 	resp   PredictResponse
 	status int
 	err    error
-
-	f    *flight
-	lead bool
 }
 
 // answerMisses answers the distinct cache misses of one request under
@@ -98,101 +48,54 @@ type missRow struct {
 // path: a single request's miss is a one-row call.
 //
 // The call takes one of QueueSize admission slots, or sheds every row
-// with 503. Each row joins its key's singleflight. The rows the call
-// leads go through one inference pass, whose answers are cached and
-// handed to the flights' followers; only then does the call wait on the
-// rows that other requests lead. Landing before waiting keeps two
-// requests that lead each other's rows from waiting on each other.
-// A row whose deadline passes before its answer gets 504: a followed
-// row as soon as it expires, a led row once the pass returns (its
-// answer is still cached and handed on).
+// with 503, and answers its rows with one inference pass. Beyond the
+// slot it shares nothing with other requests' calls, so N concurrent
+// identical misses run N passes. A row whose deadline passes before the
+// pass returns gets 504; its answer is still cached.
 func (s *Server) answerMisses(ctx context.Context, model *Model, rows []missRow) {
+	if ctx.Err() == nil {
+		rejected := s.opts.Chaos.RejectQueue()
+		if rejected {
+			s.metrics.ChaosQueueReject.Add(1)
+		}
+		if rejected || !s.tryAdmit() {
+			for i := range rows {
+				s.shed(ctx, &rows[i])
+			}
+			return
+		}
+		defer func() { <-s.admit }()
+		s.pass(ctx, model, rows)
+	}
 	if err := ctx.Err(); err != nil {
 		for i := range rows {
 			s.dropExpired(ctx, &rows[i], err)
 		}
-		return
-	}
-	rejected := s.opts.Chaos.RejectQueue()
-	if rejected {
-		s.metrics.ChaosQueueReject.Add(1)
-	}
-	if rejected || !s.tryAdmit() {
-		for i := range rows {
-			s.shed(ctx, &rows[i])
-		}
-		return
-	}
-	defer func() { <-s.admit }()
-
-	feats := make([]feature.Vector, 0, len(rows))
-	for i := range rows {
-		r := &rows[i]
-		if r.f, r.lead = s.flights.join(r.key); r.lead {
-			feats = append(feats, r.feat)
-		}
-	}
-	if len(feats) > 0 {
-		s.pass(ctx, model, rows, feats)
-	}
-	// A led row is late only if its deadline passed during the pass, not
-	// while this call waits on other requests' rows.
-	late := ctx.Err()
-	for i := range rows {
-		r := &rows[i]
-		if r.lead {
-			if late != nil {
-				s.dropExpired(ctx, r, late)
-			}
-			continue
-		}
-		wait := time.Now()
-		select {
-		case <-r.f.done:
-		case <-ctx.Done():
-			s.dropExpired(ctx, r, ctx.Err())
-			continue
-		}
-		if r.f.err != nil {
-			r.status, r.err = http.StatusInternalServerError, r.f.err
-			continue
-		}
-		obs.AddSpan(ctx, "inference", wait, time.Since(wait), obs.Attr{Key: "shared", Value: "true"})
-		s.metrics.BatchItems.Add(1)
-		r.resp = r.f.resp
-		// Answered by the leader's inference: a hit in all but name.
-		r.resp.Cached = true
 	}
 }
 
-// pass answers the rows a call leads, whose features are feats, with one
-// SelectBatchCtx pass. When the snapshot's breaker is open and a
-// last-known-good version exists, that version answers the whole pass;
-// otherwise the snapshot does, and slow-model chaos may stall the pass
-// once. Each answer is cached under the version that gave it, so a
-// routed answer never masquerades as the primary's, and every led
-// flight lands, with errInferenceAborted if the pass panics.
-func (s *Server) pass(ctx context.Context, model *Model, rows []missRow, feats []feature.Vector) {
-	err := errInferenceAborted
-	defer func() {
-		for i := range rows {
-			if r := &rows[i]; r.lead {
-				s.flights.land(r.key, r.f, &r.resp, err)
-			}
-		}
-	}()
-
+// pass answers rows with one SelectBatchCtx pass. When the snapshot's
+// breaker is open and a last-known-good version exists, that version
+// answers the whole pass; otherwise the snapshot does, and slow-model
+// chaos may stall the pass once. Each answer is cached under the
+// version that gave it, so a routed answer never masquerades as the
+// primary's.
+func (s *Server) pass(ctx context.Context, model *Model, rows []missRow) {
 	answered, routed := model, ""
 	if lg := s.registry.LastGood(model.Name); lg != nil {
 		if br := model.Breaker(); br != nil && !br.Allow() {
-			s.metrics.BreakerRouted.Add(uint64(len(feats)))
+			s.metrics.BreakerRouted.Add(uint64(len(rows)))
 			obs.KeepTrace(ctx, obs.FlagBreaker)
 			routed = fmt.Sprintf("breaker: %s open, routed to last-known-good %s",
 				modelVersionTag(model), modelVersionTag(lg))
 			answered = lg
 		}
 	}
-	sels := make([]fault.Selection, len(feats))
+	feats := make([]feature.Vector, len(rows))
+	for i := range rows {
+		feats[i] = rows[i].feat
+	}
+	sels := make([]fault.Selection, len(rows))
 	ictx, sp := obs.StartSpan(ctx, "inference")
 	sp.SetAttr("model", modelVersionTag(answered))
 	sp.SetAttr("rows", strconv.Itoa(len(feats)))
@@ -213,14 +116,9 @@ func (s *Server) pass(ctx context.Context, model *Model, rows []missRow, feats [
 	s.metrics.BatchItems.Add(uint64(len(feats)))
 	s.metrics.Inference.ObserveTraced(dur, obs.TraceID(ctx))
 	s.metrics.ObserveModel(answered.Name, dur)
-	degraded, j := false, 0
+	degraded := false
 	for i := range rows {
-		r := &rows[i]
-		if !r.lead {
-			continue
-		}
-		sel := &sels[j]
-		j++
+		r, sel := &rows[i], &sels[i]
 		degraded = degraded || sel.Degraded()
 		if n := len(sel.Fallbacks); n > 0 {
 			s.metrics.Fallbacks.Add(uint64(n))
@@ -248,7 +146,6 @@ func (s *Server) pass(ctx context.Context, model *Model, rows []missRow, feats [
 			br.RecordSuccess()
 		}
 	}
-	err = nil
 }
 
 // shed rejects a miss at admission.
@@ -280,9 +177,9 @@ type batchItem struct {
 // predictBatch answers a batch request's items in order on the calling
 // goroutine and reports whether any item failed with a 5xx status. Hits
 // are answered from the cache. The distinct misses under each model
-// snapshot go through one answerMisses call, and a row repeated inside
-// the request reuses its first occurrence's answer and reports Cached,
-// as a singleflight follower does.
+// snapshot go through one answerMisses call. A row repeated inside the
+// request serves its first occurrence's final answer and reports
+// Cached, as a hit on the entry that answer left in the cache would.
 //
 // One resolve span covers resolving and looking up every item: per-item
 // spans would multiply a batch trace's size by its item count.
@@ -333,7 +230,7 @@ func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps
 			if it.row, it.repeat = at[it.key]; !it.repeat {
 				it.row = len(rows)
 				at[it.key] = it.row
-				rows = append(rows, missRow{feat: it.feat, key: it.key})
+				rows = append(rows, missRow{feat: it.feat})
 			}
 			group = append(group, it)
 		}
@@ -349,10 +246,12 @@ func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps
 			resp := r.resp
 			if it.repeat {
 				s.metrics.BatchItems.Add(1)
-				resp.Cached = true
 			}
 			s.finish(ctx, m, it.feat, &resp, it.start)
 			resps[it.i] = resp
+			// Repeats serve this final answer, which finish may have
+			// probed, not the pass's.
+			r.resp, r.resp.Cached = resp, true
 		}
 	}
 	return resps, failed

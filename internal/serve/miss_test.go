@@ -13,6 +13,7 @@ import (
 	"heteromap/internal/config"
 	"heteromap/internal/feature"
 	"heteromap/internal/machine"
+	"heteromap/internal/online"
 	"heteromap/internal/predict"
 )
 
@@ -98,9 +99,10 @@ func predictFeat(ctx context.Context, s *Server, model string, f feature.Vector)
 	return s.predictOne(ctx, &PredictRequest{Model: model, Features: f[:]})
 }
 
-// Concurrent identical misses share one inference through the
-// singleflight, and a repeat request is a cache hit.
-func TestBatcherDedupAndCache(t *testing.T) {
+// Concurrent identical misses agree: every request answers the same M,
+// each is either a cache hit or runs a pass of its own, and a repeat
+// request is a cache hit that runs no inference.
+func TestConcurrentMissesAgree(t *testing.T) {
 	pair := machine.PrimaryPair()
 	pred := &countingPred{m: config.DefaultGPU(pair.Limits()), delay: 20 * time.Millisecond}
 	s := missServer(t, Options{Pair: pair}, pred)
@@ -123,29 +125,24 @@ func TestBatcherDedupAndCache(t *testing.T) {
 	}
 	wg.Wait()
 
-	if calls := pred.calls.Load(); calls != 1 {
-		t.Fatalf("%d inferences for %d identical concurrent misses, want 1", calls, n)
-	}
-	uncached := 0
+	uncached := uint64(0)
 	for i, r := range resps {
-		if r.M != resps[0].M {
-			t.Fatalf("response %d diverged: %v vs %v", i, r.M, resps[0].M)
+		if r.M != pred.m {
+			t.Fatalf("response %d: M %v, want %v", i, r.M, pred.m)
 		}
 		if !r.Cached {
 			uncached++
 		}
 	}
-	// Only the leader ran the inference; followers (and any request that
-	// arrived after the answer was cached) report Cached.
-	if uncached != 1 {
-		t.Fatalf("%d responses report an uncached answer, want 1", uncached)
-	}
-	// Every request was answered by the one pass or by the cache.
+	// Each request ran one single-row pass or hit the cache.
 	hits, _, _ := s.cache.Stats()
 	m := s.Metrics()
-	if m.Batches.Load() != 1 || m.BatchItems.Load()+hits != n {
-		t.Fatalf("inference metrics: %d passes answering %d items (+%d hits), want 1 pass for %d",
-			m.Batches.Load(), m.BatchItems.Load(), hits, n)
+	passes, calls := m.Batches.Load(), uint64(pred.calls.Load())
+	if passes == 0 || passes != calls || passes != uncached {
+		t.Fatalf("%d passes, %d inferences, %d uncached answers: want equal and non-zero", passes, calls, uncached)
+	}
+	if m.BatchItems.Load()+hits != n {
+		t.Fatalf("%d items answered by passes + %d hits, want %d", m.BatchItems.Load(), hits, n)
 	}
 
 	// A follow-up for the same key must be served from the cache.
@@ -156,7 +153,7 @@ func TestBatcherDedupAndCache(t *testing.T) {
 	if !r.Cached {
 		t.Fatal("repeat request not served from cache")
 	}
-	if pred.calls.Load() != 1 {
+	if uint64(pred.calls.Load()) != calls {
 		t.Fatal("cache hit still ran inference")
 	}
 }
@@ -191,48 +188,20 @@ func TestBatcherQueueFull(t *testing.T) {
 }
 
 // A miss whose deadline passes before its answer gets 504, counted as a
-// deadline drop. A lone miss leads its inference: it gets 504 once the
-// inference returns, and the answer is still cached. A follower gets 504
-// as soon as its deadline passes while it waits on the leader, and the
-// leader is still answered.
+// deadline drop, once its inference returns; the answer is still cached.
 func TestBatcherContextCancel(t *testing.T) {
 	pair := machine.PrimaryPair()
-	lone := missServer(t, Options{Pair: pair}, &slowPred{m: config.DefaultGPU(pair.Limits()), delay: 50 * time.Millisecond})
-	lctx, lcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer lcancel()
-	if _, status, err := predictFeat(lctx, lone, "live", testFeature(1)); err != context.DeadlineExceeded || status != http.StatusGatewayTimeout {
-		t.Fatalf("lone miss: status %d err %v, want 504 deadline exceeded", status, err)
-	}
-	if got := lone.Metrics().DeadlineDrops.Load(); got != 1 {
-		t.Fatalf("lone miss: DeadlineDrops = %d, want 1", got)
-	}
-	if r, _, err := predictFeat(context.Background(), lone, "live", testFeature(1)); err != nil || !r.Cached {
-		t.Fatalf("repeat of the late miss: cached %v err %v, want its cached answer", r.Cached, err)
-	}
-
-	gate := newGatedPred(t)
-	s := missServer(t, Options{}, gate)
-	f := testFeature(1)
-
-	lead := make(chan error, 1)
-	go func() {
-		_, _, err := predictFeat(context.Background(), s, "live", f)
-		lead <- err
-	}()
-	<-gate.entered // the leader is inside its inference
-
+	s := missServer(t, Options{Pair: pair}, &slowPred{m: config.DefaultGPU(pair.Limits()), delay: 50 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, status, err := predictFeat(ctx, s, "live", f)
-	if err != context.DeadlineExceeded || status != http.StatusGatewayTimeout {
-		t.Fatalf("follower: status %d err %v, want 504 deadline exceeded", status, err)
+	if _, status, err := predictFeat(ctx, s, "live", testFeature(1)); err != context.DeadlineExceeded || status != http.StatusGatewayTimeout {
+		t.Fatalf("status %d err %v, want 504 deadline exceeded", status, err)
 	}
 	if got := s.Metrics().DeadlineDrops.Load(); got != 1 {
 		t.Fatalf("DeadlineDrops = %d, want 1", got)
 	}
-	gate.open()
-	if err := <-lead; err != nil {
-		t.Fatalf("leader: %v", err)
+	if r, _, err := predictFeat(context.Background(), s, "live", testFeature(1)); err != nil || !r.Cached {
+		t.Fatalf("repeat of the late miss: cached %v err %v, want its cached answer", r.Cached, err)
 	}
 }
 
@@ -280,146 +249,77 @@ func TestBatchRepeatedRowSharesInference(t *testing.T) {
 	}
 }
 
-// blockOnPred answers at once, except for the feature block: its
-// inference signals entered and waits for release. It counts the
-// inferences of each feature.
-type blockOnPred struct {
-	m       config.M
-	block   feature.Vector
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-
-	mu    sync.Mutex
-	calls map[feature.Vector]int
+// probingServer builds a miss server whose "live" model is pred behind
+// uncertainty routing with a floor above the neutral confidence, so an
+// opaque predictor's every uncached answer is probed.
+func probingServer(t *testing.T, pred predict.Predictor) *Server {
+	t.Helper()
+	pair := machine.PrimaryPair()
+	mgr := online.New(online.Options{Pair: pair, Model: "live", UncertaintyFloor: 0.9})
+	return missServer(t, Options{Pair: pair, Online: mgr}, pred)
 }
 
-func newBlockOnPred(t *testing.T, block feature.Vector) *blockOnPred {
-	p := &blockOnPred{
-		m:       config.DefaultGPU(machine.PrimaryPair().Limits()),
-		block:   block,
-		entered: make(chan struct{}, 1),
-		release: make(chan struct{}),
-		calls:   make(map[feature.Vector]int),
-	}
-	t.Cleanup(p.open)
-	return p
-}
+// Two identical misses, the second arriving while the first is inside
+// its inference, both serve the probed answer that the cache keeps, on
+// a cell where the predictor's GPU answer is far from optimal.
+func TestProbeServedToConcurrentMisses(t *testing.T) {
+	gate := newGatedPred(t)
+	s := probingServer(t, gate)
+	f := shiftedCells(t, 1)[0]
 
-func (p *blockOnPred) open()        { p.once.Do(func() { close(p.release) }) }
-func (p *blockOnPred) Name() string { return "BlockOn" }
-func (p *blockOnPred) Predict(f feature.Vector) config.M {
-	p.mu.Lock()
-	p.calls[f]++
-	p.mu.Unlock()
-	if f == p.block {
-		p.entered <- struct{}{}
-		<-p.release
-	}
-	return p.m
-}
-
-func (p *blockOnPred) callsFor(f feature.Vector) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calls[f]
-}
-
-// A batch answers the rows it leads before it waits on rows that other
-// requests lead. A single request leads A and is parked in the
-// predictor; a batch [A, X] then follows A's flight, yet X is inferred
-// and served from the cache while A is still blocked. Once A is
-// released, the batch answers A as a follower and X from its own
-// inference, with one inference of each.
-func TestBatchLandsBeforeWaiting(t *testing.T) {
-	a := testFeature(3).Discretized(feature.DiscretizationStep)
-	x := testFeature(4).Discretized(feature.DiscretizationStep)
-	pred := newBlockOnPred(t, a)
-	s := missServer(t, Options{}, pred)
-
-	single := make(chan error, 1)
-	go func() {
-		_, _, err := predictFeat(context.Background(), s, "live", a)
-		single <- err
-	}()
-	<-pred.entered // the single request leads A and is parked
-
-	batch := make(chan []PredictResponse, 1)
-	go func() {
-		resps, _ := s.predictBatch(context.Background(), []PredictRequest{
-			{Model: "live", Features: a[:]},
-			{Model: "live", Features: x[:]},
-		})
-		batch <- resps
-	}()
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		if _, _, _, ok := s.PredictCached("live", x); ok {
-			break
+	answers := make(chan PredictResponse, 2)
+	ask := func() {
+		r, _, err := predictFeat(context.Background(), s, "live", f)
+		if err != nil {
+			t.Error(err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("X was not served from the cache while the batch waited on A")
-		}
-		time.Sleep(time.Millisecond)
+		answers <- r
 	}
+	go ask()
+	<-gate.entered // the first request is inside its inference
+	go ask()
+	// Release both once the second is inside its own inference, or
+	// after a second if it never gets there.
 	select {
-	case <-batch:
-		t.Fatal("batch answered while A was still blocked")
-	default:
+	case <-gate.entered:
+	case <-time.After(time.Second):
 	}
+	gate.open()
 
-	pred.open()
-	if err := <-single; err != nil {
-		t.Fatalf("single request: %v", err)
-	}
-	resps := <-batch
-	if r := resps[0]; r.Error != "" || !r.Cached {
-		t.Fatalf("A: cached %v error %q, want the single request's answer", r.Cached, r.Error)
-	}
-	if r := resps[1]; r.Error != "" || r.Cached {
-		t.Fatalf("X: cached %v error %q, want the batch's own inference", r.Cached, r.Error)
-	}
-	if na, nx := pred.callsFor(a), pred.callsFor(x); na != 1 || nx != 1 {
-		t.Fatalf("inferences: A %d, X %d, want one each", na, nx)
+	rs := []PredictResponse{<-answers, <-answers}
+	m, used, _, ok := s.PredictCached("live", f.Discretized(feature.DiscretizationStep))
+	for i, r := range rs {
+		if r.PredictorUsed != online.ProbePredictor || r.M == gate.m {
+			t.Fatalf("answer %d: %s %v (cached %v), want the probed answer", i, r.PredictorUsed, r.M, r.Cached)
+		}
+		if !ok || used != r.PredictorUsed || m != r.M {
+			t.Fatalf("answer %d: %s %v, but the cache keeps %s %v (ok %v)", i, r.PredictorUsed, r.M, used, m, ok)
+		}
 	}
 }
 
-// A led row answered before its deadline keeps its answer when the call
-// then waits past the deadline on a row another request leads: only the
-// followed row gets 504.
-func TestBatchDeadlineSparesLedRows(t *testing.T) {
-	a := testFeature(3).Discretized(feature.DiscretizationStep)
-	x := testFeature(4).Discretized(feature.DiscretizationStep)
-	pred := newBlockOnPred(t, a)
-	s := missServer(t, Options{}, pred)
+// A cell repeated inside one batch serves its first occurrence's
+// probed answer, as a hit on the entry the probe left in the cache.
+func TestProbeServedToBatchRepeat(t *testing.T) {
+	gpu := config.DefaultGPU(machine.PrimaryPair().Limits())
+	s := probingServer(t, fixedPred{m: gpu})
+	f := shiftedCells(t, 1)[0]
 
-	single := make(chan error, 1)
-	go func() {
-		_, _, err := predictFeat(context.Background(), s, "live", a)
-		single <- err
-	}()
-	<-pred.entered // the single request leads A and is parked
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	resps, failed := s.predictBatch(ctx, []PredictRequest{
-		{Model: "live", Features: a[:]},
-		{Model: "live", Features: x[:]},
+	resps, failed := s.predictBatch(context.Background(), []PredictRequest{
+		{Model: "live", Features: f[:]},
+		{Model: "live", Features: f[:]},
 	})
-	if want := context.DeadlineExceeded.Error(); resps[0].Error != want {
-		t.Fatalf("A: error %q, want %q", resps[0].Error, want)
+	if failed {
+		t.Fatalf("batch failed: %+v", resps)
 	}
-	if r := resps[1]; r.Error != "" || r.Cached {
-		t.Fatalf("X: cached %v error %q, want the batch's own answer", r.Cached, r.Error)
+	first, repeat := resps[0], resps[1]
+	if first.Error != "" || first.Cached || first.PredictorUsed != online.ProbePredictor || first.M == gpu {
+		t.Fatalf("first: %s %v (cached %v, error %q), want an uncached probed answer",
+			first.PredictorUsed, first.M, first.Cached, first.Error)
 	}
-	if !failed {
-		t.Fatal("a batch with a 504 row did not report a failed item")
-	}
-	if got := s.Metrics().DeadlineDrops.Load(); got != 1 {
-		t.Fatalf("DeadlineDrops = %d, want 1", got)
-	}
-	pred.open()
-	if err := <-single; err != nil {
-		t.Fatalf("single request: %v", err)
+	if repeat.Error != "" || !repeat.Cached || repeat.PredictorUsed != first.PredictorUsed || repeat.M != first.M {
+		t.Fatalf("repeat: %s %v (cached %v, error %q), want the first's probed answer, cached",
+			repeat.PredictorUsed, repeat.M, repeat.Cached, repeat.Error)
 	}
 }
 

@@ -91,7 +91,7 @@ func newOnlineLoopServer(t *testing.T, floor float64, mutate func(string) error)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases, err := RecordGoldenSet(weak, DefaultGoldenRequests(8, 3), 0)
+	cases, err := RecordGoldenSet(weak, DefaultGoldenRequests(8, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

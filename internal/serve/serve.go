@@ -15,16 +15,18 @@
 //     traffic repeats keys and hit rates are high;
 //   - misses are answered inline on the request's own goroutine, a
 //     single request's one miss and a batch's distinct misses alike: a
-//     non-blocking admission semaphore sheds overload with 503, every
-//     miss joins a singleflight so concurrent identical misses share one
-//     inference, the misses a request leads share one pass through the
-//     model's chain, and a miss whose deadline passes before its answer
-//     gets 504;
+//     non-blocking admission semaphore sheds overload with 503, a
+//     request's misses share one pass through the model's chain, and a
+//     miss whose deadline passes before its answer gets 504. Beyond the
+//     semaphore, one request's misses share nothing with another's:
+//     each request answers its own misses and caches what it serves;
 //   - a Metrics layer (atomic counters + latency histograms) exposes the
 //     whole pipeline in Prometheus text format on /metrics.
 //
 // HTTP surface: POST /v1/predict, POST /v1/predict/batch, POST
-// /v1/reload, GET /v1/models, GET /healthz, GET /metrics.
+// /v1/reload, GET /v1/models, GET|POST /v1/chaos, GET /v1/online, GET
+// /v1/slo, GET /v1/explain/{id}, GET /debug/traces, GET /healthz, GET
+// /metrics.
 package serve
 
 import (

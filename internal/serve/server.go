@@ -156,8 +156,6 @@ type Server struct {
 	// admit is the miss-path admission semaphore (QueueSize slots); its
 	// length is the number of miss passes in flight.
 	admit chan struct{}
-	// flights deduplicates concurrent identical misses (miss.go).
-	flights flightGroup
 
 	// dur is the durability bookkeeping (durable.go).
 	dur serveDurable
@@ -395,7 +393,7 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 	s.metrics.CacheLookup.ObserveTraced(dur, obs.TraceID(ctx))
 	obs.AddSpan(ctx, "cache", start, dur, obs.Attr{Key: "hit", Value: strconv.FormatBool(hit)})
 	if !hit {
-		row := []missRow{{feat: feat, key: key}}
+		row := []missRow{{feat: feat}}
 		s.answerMisses(ctx, model, row)
 		if row[0].err != nil {
 			return PredictResponse{}, row[0].status, row[0].err
