@@ -35,8 +35,7 @@ type RouterOptions struct {
 	Replicas int
 
 	// HedgeAfter is how long the primary may take before the router
-	// hedges the request against the replica (25ms) — the cluster analog
-	// of the batcher's stage budget.
+	// hedges the request against the replica (25ms).
 	HedgeAfter time.Duration
 	// RequestTimeout bounds one routed request end to end (5s).
 	RequestTimeout time.Duration
@@ -61,12 +60,10 @@ type RouterOptions struct {
 
 	// Tracer records routed-request traces (hop spans for every
 	// forward, hedge and failover) into the router's own sampling ring;
-	// nil builds a default tracer unless DisableTracing is set. The
-	// trace id is propagated to peers on every forward so
-	// /v1/trace/{id} can stitch the cross-process timeline.
+	// nil builds a default tracer. The trace id is propagated to peers
+	// on every forward so /v1/trace/{id} can stitch the cross-process
+	// timeline.
 	Tracer *obs.Tracer
-	// DisableTracing turns router tracing (and propagation) off.
-	DisableTracing bool
 	// SLO tracks the cluster-level availability and p99 objectives over
 	// routed requests, exposes /v1/slo and the heteromap_slo_* gauges,
 	// and — once the error budget exhausts — tightens HedgeAfter so the
@@ -99,11 +96,8 @@ func (o RouterOptions) withDefaults() RouterOptions {
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 20
 	}
-	if o.Tracer == nil && !o.DisableTracing {
+	if o.Tracer == nil {
 		o.Tracer = obs.NewTracer(obs.Options{})
-	}
-	if o.DisableTracing {
-		o.Tracer = nil
 	}
 	return o
 }
@@ -131,8 +125,8 @@ type Router struct {
 	peers   map[string]*Peer
 	metrics *RouterMetrics
 	client  *http.Client
-	tracer  *obs.Tracer // nil when tracing is disabled
-	slo     *obs.SLO    // nil when SLO tracking is disabled
+	tracer  *obs.Tracer
+	slo     *obs.SLO // nil when SLO tracking is disabled
 
 	mu   sync.Mutex // guards ring read-modify-write
 	ring atomic.Pointer[Ring]
@@ -233,7 +227,7 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-// Tracer returns the router's tracer (nil when tracing is disabled).
+// Tracer returns the router's tracer.
 func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
 
 // SLO returns the router's SLO tracker (nil when disabled).
@@ -838,8 +832,8 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Batch items shard independently, so they fan out to their owning
-	// nodes concurrently and reassemble positionally — the cluster
-	// analog of the single-node batch endpoint's queue fan-in. An item
+	// nodes concurrently and reassemble positionally, where a node
+	// answers its batch's misses in one pass per model snapshot. An item
 	// whose ladder ended in a transport error or a 5xx fails the whole
 	// round trip for the SLO, as one failed item would for a client.
 	start := time.Now()
@@ -948,10 +942,6 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	if id == "" || strings.Contains(id, "/") || !obs.ValidTraceID(id) {
 		rt.errorJSON(w, http.StatusBadRequest, fmt.Errorf("usage: GET /v1/trace/{trace-id}"))
-		return
-	}
-	if rt.tracer == nil {
-		rt.errorJSON(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
 		return
 	}
 	parts := make([]obs.NodeTrace, 1, len(rt.peers)+1)

@@ -9,8 +9,8 @@
 // and core hot paths are instrumented unconditionally and tracing is
 // turned off by simply not installing a tracer. Trace context rides the
 // standard context.Context, which the serving pipeline already threads
-// through the batcher queue and worker dispatch for deadlines — the
-// same propagation carries spans across goroutines.
+// through every stage for deadlines — the same propagation carries
+// spans across goroutines, such as a router's hedged forwards.
 package obs
 
 import (
@@ -510,7 +510,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // NewSpan opens a child span without deriving a context — for stages
 // whose end is observed by a different goroutine than continues the
-// request (the batcher's queue span).
+// request (a router's forward, which a hedge may abandon).
 func NewSpan(ctx context.Context, name string) *Span {
 	return newSpanAt(ctx, name, time.Now())
 }
@@ -536,9 +536,9 @@ func newSpanAt(ctx context.Context, name string, start time.Time) *Span {
 }
 
 // AddSpan records an already-completed stage (start + duration) under
-// the span carried by ctx — how the batcher attributes shared work
-// (one inference answering a deduplicated group) to every member's
-// trace with the true timings.
+// the span carried by ctx — how the serve path records its cache
+// lookup after timing it, and how the router marks instant events such
+// as a skipped hedge.
 func AddSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...Attr) {
 	sp := newSpanAt(ctx, name, start)
 	if sp == nil {

@@ -147,27 +147,6 @@ func (c *Cache) Put(key CacheKey, val cachedPrediction) {
 	}
 }
 
-// PurgeModel removes every entry belonging to the named model — all
-// versions — and returns how many were dropped. Reload quarantine uses
-// it so a candidate that failed canary validation can never leave
-// residue behind, and tests use the zero return to prove the rejected
-// version never populated the cache.
-func (c *Cache) PurgeModel(model string) int {
-	purged := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for key, el := range s.items {
-			if key.Model == model {
-				s.ll.Remove(el)
-				delete(s.items, key)
-				purged++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return purged
-}
-
 // Len returns the live entry count across shards.
 func (c *Cache) Len() int {
 	n := 0

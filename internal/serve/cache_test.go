@@ -73,26 +73,6 @@ func TestCachePutRefreshesExisting(t *testing.T) {
 	}
 }
 
-// PurgeModel removes every version of exactly the named model.
-func TestCachePurgeModel(t *testing.T) {
-	c := NewCache(16, 4)
-	c.Put(CacheKey{Model: "tree", Version: 1}, cachedPrediction{})
-	c.Put(CacheKey{Model: "tree", Version: 2}, cachedPrediction{})
-	c.Put(CacheKey{Model: "deep", Version: 1}, cachedPrediction{})
-	if n := c.PurgeModel("tree"); n != 2 {
-		t.Fatalf("PurgeModel(tree) = %d, want 2", n)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
-	}
-	if _, ok := c.Get(CacheKey{Model: "deep", Version: 1}); !ok {
-		t.Fatal("unrelated model purged")
-	}
-	if n := c.PurgeModel("tree"); n != 0 {
-		t.Fatalf("second purge = %d, want 0", n)
-	}
-}
-
 // Concurrent mixed load across shards must be safe (-race) and keep
 // counters coherent: hits+misses equals the number of Gets.
 func TestCacheConcurrent(t *testing.T) {

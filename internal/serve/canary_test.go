@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"net/http"
 	"os"
 	"path/filepath"
 	"testing"
@@ -154,22 +155,44 @@ func TestReloadRollbackOnCorruptAndEmptyDB(t *testing.T) {
 		}
 	}
 
-	// No rejected version may have touched the cache: quarantined
-	// versions are strictly greater than the active one, so the only
-	// "live" entry a purge can find is the active version's.
-	if n := cache.PurgeModel("live"); n != 1 {
-		t.Fatalf("cache held %d live entries, want only the active version's", n)
+	// No rejected version may have touched the cache: the only entry is
+	// the active version's.
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("cache held %d entries, want only the active version's", n)
 	}
 	for _, q := range r.Quarantined() {
 		if _, ok := cache.Get(CacheKey{Model: "live", Version: q.Version, Feat: feat.Binary()}); ok {
 			t.Fatalf("rejected version %d left a cache entry", q.Version)
 		}
 	}
-	if cache.Len() != 0 {
-		t.Fatalf("cache not empty after purging the only model: len=%d", cache.Len())
-	}
 	if len(r.Quarantined()) != 2 {
 		t.Fatalf("quarantine = %+v", r.Quarantined())
+	}
+}
+
+// A rejected /v1/reload leaves the live model's warm keys warm: the
+// candidate never served, so the cache holds nothing of it to drop.
+func TestRejectedReloadKeepsWarmKey(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	predict := func() PredictResponse {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/predict", bfsRequest("tree"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("predict status %d: %s", resp.StatusCode, body)
+		}
+		var pr PredictResponse
+		if err := json.Unmarshal(body, &pr); err != nil {
+			t.Fatal(err)
+		}
+		return pr
+	}
+	predict()
+	missing := reloadRequest{Model: "tree", Path: filepath.Join(t.TempDir(), "missing.hmdb")}
+	if resp, body := postJSON(t, ts.URL+"/v1/reload", missing); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("reload of a missing file: status %d: %s", resp.StatusCode, body)
+	}
+	if pr := predict(); !pr.Cached {
+		t.Fatal("a rejected reload turned the live model's warm key cold")
 	}
 }
 

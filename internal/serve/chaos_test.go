@@ -65,9 +65,10 @@ func TestBreakerOpensAndRoutesToLastGood(t *testing.T) {
 
 // A batch on a version whose breaker is open runs one pass on
 // last-known-good: every row carries that version and the breaker event,
-// each routed row is counted, and the open version's predictor is never
-// called. Each row's events are its own, so appending to one answer's
-// events, as observeOnline does, leaves every other answer alone.
+// each routed row is counted, the open version's predictor is never
+// called, and nothing is cached, since no lookup reads last-known-good's
+// keys. Each row's events are its own, so appending to one answer's
+// events, as the probe does, leaves every other answer alone.
 func TestBatchBreakerOpenRoutesOnePass(t *testing.T) {
 	pair := machine.PrimaryPair()
 	s := New(Options{Pair: pair, BreakerThreshold: 1, BreakerCooldown: 1000})
@@ -118,6 +119,9 @@ func TestBatchBreakerOpenRoutesOnePass(t *testing.T) {
 	}
 	if calls := openPred.calls.Load(); calls != 0 {
 		t.Fatalf("the open version's predictor ran %d times", calls)
+	}
+	if n := s.cache.Len(); n != 0 {
+		t.Fatalf("the routed pass cached %d entries, want none", n)
 	}
 }
 

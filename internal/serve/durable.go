@@ -22,11 +22,13 @@ import (
 //
 // Cache entries are persisted under (model name, feature key) — not the
 // live cache key, which embeds a version number that will not survive
-// the restart. Recovery first raises the registry version counter to
-// the persisted floor and restamps every already-registered model above
-// it, then rebuilds each entry's key against the model's post-restart
-// version. Entries for models no longer registered are dropped and
-// counted.
+// the restart. So a snapshot holds only the entries of each model's
+// current version, and records that version's Source. Recovery first
+// raises the registry version counter to the persisted floor and
+// restamps every already-registered model above it, then rebuilds each
+// entry's key against the model's post-restart version. Entries for
+// models no longer registered, or now registered from another source,
+// are dropped and counted.
 const (
 	cacheSnapshotKind = "serve-cache"
 	cacheSnapshotFile = "cache.snap"
@@ -36,6 +38,9 @@ const (
 type serveSnapshotMeta struct {
 	// VersionFloor is the registry version counter at snapshot time.
 	VersionFloor uint64 `json:"version_floor"`
+	// Sources maps each model name to the Source of the version whose
+	// answers the snapshot holds.
+	Sources map[string]string `json:"sources"`
 }
 
 // cacheSnapshotEntry is one persisted prediction (records 1..n).
@@ -51,7 +56,8 @@ type cacheSnapshotEntry struct {
 type ServeDurableStats struct {
 	Enabled bool `json:"enabled"`
 	// CacheRestored / CacheDropped count snapshot entries readmitted to
-	// the cache vs dropped (unregistered model, undecodable record).
+	// the cache vs dropped (unregistered model, model from another
+	// source, undecodable record).
 	CacheRestored int `json:"cache_restored"`
 	CacheDropped  int `json:"cache_dropped"`
 	// SnapshotRestored reports whether a cache snapshot was restored.
@@ -125,8 +131,10 @@ func (s *Server) RecoverDurable() ServeDurableStats {
 				st.CacheDropped++
 				continue
 			}
+			// A name now registered from another source would serve
+			// answers its model never gave.
 			m, gerr := s.registry.Get(e.Model)
-			if gerr != nil {
+			if src, ok := meta.Sources[e.Model]; gerr != nil || !ok || src != m.Source {
 				st.CacheDropped++
 				continue
 			}
@@ -156,15 +164,21 @@ func (s *Server) RecoverDurable() ServeDurableStats {
 	return st
 }
 
-// SnapshotCache persists the prediction cache and the registry version
-// counter as one sealed container. A crash at any byte of the write
-// leaves the previous snapshot byte-intact.
+// SnapshotCache persists the entries of each model's current version
+// and the registry version counter as one sealed container. A crash at
+// any byte of the write leaves the previous snapshot byte-intact.
 func (s *Server) SnapshotCache() error {
 	dir := s.opts.DurableDir
 	if dir == "" {
 		return fmt.Errorf("serve: durability disabled")
 	}
-	meta := serveSnapshotMeta{VersionFloor: s.registry.VersionCounter()}
+	models := s.registry.List()
+	meta := serveSnapshotMeta{VersionFloor: s.registry.VersionCounter(), Sources: make(map[string]string, len(models))}
+	current := make(map[string]uint64, len(models))
+	for _, m := range models {
+		meta.Sources[m.Name] = m.Source
+		current[m.Name] = m.Version
+	}
 	metaJSON, err := json.Marshal(meta)
 	if err != nil {
 		return err
@@ -173,6 +187,11 @@ func (s *Server) SnapshotCache() error {
 	recs := make([][]byte, 0, len(entries)+1)
 	recs = append(recs, metaJSON)
 	for _, e := range entries {
+		// The record drops the version, so an older version's entry
+		// would come back as the current one's.
+		if e.key.Version != current[e.key.Model] {
+			continue
+		}
 		// Persist the wire-format string key (the snapshot format
 		// predates the binary key and must survive restarts across
 		// versions); an entry whose binary key does not decode to a

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,6 +15,7 @@ import (
 	"heteromap/internal/feature"
 	"heteromap/internal/machine"
 	"heteromap/internal/predict/dtree"
+	"heteromap/internal/train"
 )
 
 // durableServer builds a server with the decision tree registered and
@@ -167,6 +170,80 @@ func TestCacheSnapshotDropsUnknownModels(t *testing.T) {
 	}
 	if st.CacheDropped != 1 {
 		t.Fatalf("dropped %d entries, want 1 (the ghost model's)", st.CacheDropped)
+	}
+}
+
+// A restart readmits a snapshot's entries only under a model of the
+// same source, and the snapshot holds the current versions' answers
+// only: a node that hot-reloaded "tree" from a database and restarts on
+// the builtin tree serves none of the database's answers as the tree's.
+func TestCacheSnapshotRestoresOnlyTheSameSource(t *testing.T) {
+	pair := machine.PrimaryPair()
+	dbPath := saveDB(t, train.BuildDatabase(pair, train.Config{Samples: 64, Seed: 7}))
+	f := testFeature(3)
+	dir := t.TempDir()
+	s := durableServer(t, dir, nil)
+	if _, _, err := predictFeat(context.Background(), s, "tree", f); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Registry().ReloadDB("tree", dbPath); err != nil {
+		t.Fatal(err)
+	}
+	db, _, err := predictFeat(context.Background(), s, "tree", f)
+	if err != nil || db.PredictorUsed != "DB Lookup" {
+		t.Fatalf("reloaded answer: %s (err %v), want DB Lookup", db.PredictorUsed, err)
+	}
+	if err := s.SnapshotCache(); err != nil {
+		t.Fatal(err)
+	}
+
+	builtin := durableServer(t, dir, nil)
+	if st := builtin.DurableStats(); st.CacheRestored != 0 || st.CacheDropped != 1 {
+		t.Fatalf("restart on the builtin tree restored %d and dropped %d entries, want 0 and 1",
+			st.CacheRestored, st.CacheDropped)
+	}
+	if r, _, err := predictFeat(context.Background(), builtin, "tree", f); err != nil || r.Cached || r.PredictorUsed == "DB Lookup" {
+		t.Fatalf("restart on the builtin tree served %s (cached %v, err %v), want its own uncached answer",
+			r.PredictorUsed, r.Cached, err)
+	}
+
+	reloaded := New(Options{Pair: pair, DurableDir: dir})
+	if _, err := reloaded.Registry().ReloadDB("tree", dbPath); err != nil {
+		t.Fatal(err)
+	}
+	if st := reloaded.RecoverDurable(); st.CacheRestored != 1 {
+		t.Fatalf("restart on the same database restored %d entries, want 1", st.CacheRestored)
+	}
+	if r, _, err := predictFeat(context.Background(), reloaded, "tree", f); err != nil || !r.Cached || r.M != db.M {
+		t.Fatalf("restart on the same database served %s %v (cached %v, err %v), want %v from the cache",
+			r.PredictorUsed, r.M, r.Cached, err, db.M)
+	}
+}
+
+// A snapshot written before snapshots recorded their models' sources
+// cannot tell which model gave its answers, so it restores none of
+// them; its version floor still holds.
+func TestCacheSnapshotWithoutSourcesRestoresNothing(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, nil)
+	fillCache(t, s, 3)
+	if err := s.SnapshotCache(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, cacheSnapshotFile)
+	recs, err := durable.ReadContainer(path, cacheSnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := s.Registry().VersionCounter()
+	recs[0] = []byte(fmt.Sprintf(`{"version_floor":%d}`, floor))
+	if err := durable.WriteContainer(path, cacheSnapshotKind, recs, "cache", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	st := durableServer(t, dir, nil).DurableStats()
+	if !st.SnapshotRestored || st.VersionFloor != floor || st.CacheRestored != 0 || st.CacheDropped != 3 {
+		t.Fatalf("restore of a snapshot without sources: %+v, want floor %d, 0 restored, 3 dropped", st, floor)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"heteromap/internal/fault"
 	"heteromap/internal/feature"
 	"heteromap/internal/obs"
+	"heteromap/internal/online"
 )
 
 // ErrQueueFull is returned when the miss path's admission semaphore is
@@ -34,11 +35,13 @@ func (s *Server) tryAdmit() bool {
 }
 
 // missRow is one distinct cache miss handed to answerMisses, and its
-// outcome: an answer, or an error and the HTTP status it carries.
+// outcome: a final answer and the snapshot that gave it, or an error
+// and the HTTP status it carries.
 type missRow struct {
 	feat feature.Vector
 
 	resp   PredictResponse
+	by     *Model
 	status int
 	err    error
 }
@@ -74,12 +77,13 @@ func (s *Server) answerMisses(ctx context.Context, model *Model, rows []missRow)
 	}
 }
 
-// pass answers rows with one SelectBatchCtx pass. When the snapshot's
-// breaker is open and a last-known-good version exists, that version
-// answers the whole pass; otherwise the snapshot does, and slow-model
-// chaos may stall the pass once. Each answer is cached under the
-// version that gave it, so a routed answer never masquerades as the
-// primary's.
+// pass answers rows with one SelectBatchCtx pass, runs the online probe
+// on each answer, and caches each final answer once under model: it is
+// the cache's only request-path writer. When the snapshot's breaker is
+// open and a last-known-good version exists, that version answers the
+// whole pass and nothing is cached, because no lookup reads
+// last-known-good's keys; otherwise the snapshot answers, and
+// slow-model chaos may stall the pass once.
 func (s *Server) pass(ctx context.Context, model *Model, rows []missRow) {
 	answered, routed := model, ""
 	if lg := s.registry.LastGood(model.Name); lg != nil {
@@ -123,7 +127,7 @@ func (s *Server) pass(ctx context.Context, model *Model, rows []missRow) {
 		if n := len(sel.Fallbacks); n > 0 {
 			s.metrics.Fallbacks.Add(uint64(n))
 		}
-		s.cache.Put(cacheKeyFor(answered, r.feat), cachedPrediction{M: sel.M, Used: sel.Used})
+		r.by = answered
 		r.resp = PredictResponse{
 			Model:         answered.Name,
 			Version:       answered.Version,
@@ -133,8 +137,12 @@ func (s *Server) pass(ctx context.Context, model *Model, rows []missRow) {
 			Fallbacks:     sel.Fallbacks,
 		}
 		if routed != "" {
-			// One slice per row: observeOnline appends to it.
+			// One slice per row: probe appends to it.
 			r.resp.Resilience = []string{routed}
+		}
+		s.probe(ctx, r)
+		if routed == "" {
+			s.cache.Put(cacheKeyFor(model, r.feat), cachedPrediction{M: r.resp.M, Used: r.resp.PredictorUsed})
 		}
 	}
 	// A degraded answer or a pass slower than breakerSlowInference is a
@@ -146,6 +154,28 @@ func (s *Server) pass(ctx context.Context, model *Model, rows []missRow) {
 			br.RecordSuccess()
 		}
 	}
+}
+
+// probe is the uncertainty routing of the online loop: when the
+// confidence of the link that answered r falls below the floor, r's
+// answer is replaced by a bounded exhaustive probe's.
+func (s *Server) probe(ctx context.Context, r *missRow) {
+	on := s.opts.Online
+	if on == nil {
+		return
+	}
+	conf, low := on.Assess(r.by.Link(r.resp.PredictorUsed), r.feat)
+	if !low {
+		return
+	}
+	_, sp := obs.StartSpan(ctx, "probe")
+	pm, _ := on.Probe(r.feat)
+	sp.SetAttr("confidence", strconv.FormatFloat(conf, 'g', 3, 64))
+	sp.End()
+	ev := fmt.Sprintf("probe: %s confidence %.3f below floor %.3f; exhaustive probe served",
+		r.resp.PredictorUsed, conf, on.UncertaintyFloor())
+	r.resp.M, r.resp.PredictorUsed = pm, online.ProbePredictor
+	r.resp.Resilience = append(r.resp.Resilience, ev)
 }
 
 // shed rejects a miss at admission.
@@ -178,8 +208,7 @@ type batchItem struct {
 // goroutine and reports whether any item failed with a 5xx status. Hits
 // are answered from the cache. The distinct misses under each model
 // snapshot go through one answerMisses call. A row repeated inside the
-// request serves its first occurrence's final answer and reports
-// Cached, as a hit on the entry that answer left in the cache would.
+// request serves its first occurrence's answer and reports Cached.
 //
 // One resolve span covers resolving and looking up every item: per-item
 // spans would multiply a batch trace's size by its item count.
@@ -246,12 +275,10 @@ func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps
 			resp := r.resp
 			if it.repeat {
 				s.metrics.BatchItems.Add(1)
+				resp.Cached = true
 			}
-			s.finish(ctx, m, it.feat, &resp, it.start)
+			s.finish(ctx, r.by, it.feat, &resp, it.start)
 			resps[it.i] = resp
-			// Repeats serve this final answer, which finish may have
-			// probed, not the pass's.
-			r.resp, r.resp.Cached = resp, true
 		}
 	}
 	return resps, failed

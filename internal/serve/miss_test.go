@@ -323,6 +323,26 @@ func TestProbeServedToBatchRepeat(t *testing.T) {
 	}
 }
 
+// A miss whose deadline passes during its pass still caches its final,
+// probed answer, so the next request on the cell serves the probe's M
+// from the cache and not the predictor's.
+func TestLateMissCachesProbedAnswer(t *testing.T) {
+	gpu := config.DefaultGPU(machine.PrimaryPair().Limits())
+	s := probingServer(t, &slowPred{m: gpu, delay: 50 * time.Millisecond})
+	f := shiftedCells(t, 1)[0]
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if _, status, err := predictFeat(ctx, s, "live", f); status != http.StatusGatewayTimeout {
+		t.Fatalf("late miss: status %d err %v, want 504", status, err)
+	}
+	r, _, err := predictFeat(context.Background(), s, "live", f)
+	if err != nil || !r.Cached || r.PredictorUsed != online.ProbePredictor || r.M == gpu {
+		t.Fatalf("next request: %s %v (cached %v, err %v), want the probed answer from the cache",
+			r.PredictorUsed, r.M, r.Cached, err)
+	}
+}
+
 // Shutdown while slow misses are in flight answers every one of them
 // with 200: each miss runs on its handler's goroutine, which graceful
 // HTTP shutdown waits for. Afterwards new requests are refused.

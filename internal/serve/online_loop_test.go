@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -174,6 +175,9 @@ func TestClosedLoopDriftRetrainPromote(t *testing.T) {
 	if versionAfter <= versionBefore {
 		t.Fatalf("registry version %d -> %d: promotion did not go through the registry",
 			versionBefore, versionAfter)
+	}
+	if runs := srv.Metrics().CanaryRuns.Load(); runs != 1 {
+		t.Fatalf("%d canary runs counted after one promotion, want 1", runs)
 	}
 
 	// The same shifted distribution, served by the promoted model, must
@@ -361,5 +365,33 @@ func TestOnlineEndpointAndMetrics(t *testing.T) {
 	oresp.Body.Close()
 	if oresp.StatusCode != http.StatusConflict {
 		t.Fatalf("/v1/online without online learning = %d, want 409", oresp.StatusCode)
+	}
+}
+
+// Shutdown closes the online manager after the HTTP drain: a manager
+// reopened on its durable directory restores the final snapshot and
+// replays nothing from the WAL.
+func TestShutdownClosesOnlineManager(t *testing.T) {
+	pair := machine.PrimaryPair()
+	opts := online.Options{Pair: pair, Model: "live", DurableDir: t.TempDir()}
+	mgr := online.New(opts)
+	s := missServer(t, Options{Pair: pair, Online: mgr}, fixedPred{m: config.DefaultGPU(pair.Limits())})
+	for i := 0; i < 4; i++ {
+		if _, _, err := predictFeat(context.Background(), s, "live", testFeature(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := mgr.Tick(); n != 4 {
+		t.Fatalf("tick processed %d samples, want 4", n)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := online.New(opts)
+	defer reopened.Close()
+	if ds := reopened.DurableStats(); !ds.SnapshotRestored || ds.Replayed != 0 {
+		t.Fatalf("reopened manager: snapshot_restored=%v wal_replayed=%d, want true and 0",
+			ds.SnapshotRestored, ds.Replayed)
 	}
 }

@@ -216,9 +216,6 @@ func (r *Registry) Get(name string) (*Model, error) {
 func (r *Registry) LastGood(name string) *Model {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if name == "" {
-		name = r.defaultName
-	}
 	return r.lastGood[name]
 }
 

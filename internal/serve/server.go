@@ -199,22 +199,17 @@ func New(opts Options) *Server {
 	s.http = &http.Server{Addr: opts.Addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	if on := opts.Online; on != nil {
 		// The learning loop's promotion path IS the operator reload path:
-		// a shadow database goes through ReloadDBValidated with the same
-		// canary config, so a bad retrain quarantines exactly like a bad
-		// file reload and can never serve.
+		// a shadow database goes through reload with the same canary
+		// config, so a bad retrain quarantines exactly like a bad file
+		// reload and can never serve.
 		on.BindPromote(func(model, path string) (uint64, error) {
 			if model == "" {
 				model = on.Model()
 			}
-			m, _, err := s.registry.ReloadDBValidated(model, path, s.opts.Canary)
+			m, _, err := s.reload(context.Background(), model, path)
 			if err != nil {
-				s.metrics.ReloadRejected.Add(1)
-				// Same defensive purge as a rejected /v1/reload.
-				s.cache.PurgeModel(model)
 				return 0, err
 			}
-			s.metrics.ReloadCount.Add(1)
-			s.cache.PurgeModel(model)
 			return m.Version, nil
 		})
 		on.BindLive(func(f feature.Vector) config.M {
@@ -289,13 +284,19 @@ func (s *Server) Addr() string {
 
 // Shutdown gracefully stops the HTTP listener and waits for in-flight
 // requests — misses included, since each is answered on its handler's
-// goroutine — and, when durability is enabled, takes a final cache
-// snapshot so the next boot is warm.
+// goroutine. It then takes a final cache snapshot when durability is
+// enabled, so the next boot is warm, and closes the online manager,
+// whose final snapshot spares the next boot a WAL replay.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.http.Shutdown(ctx)
 	s.stopSnapshotLoop()
 	if s.opts.DurableDir != "" {
 		s.SnapshotCache()
+	}
+	if on := s.opts.Online; on != nil {
+		if cerr := on.Close(); err == nil {
+			err = cerr
+		}
 	}
 	return err
 }
@@ -398,7 +399,7 @@ func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictRe
 		if row[0].err != nil {
 			return PredictResponse{}, row[0].status, row[0].err
 		}
-		resp = row[0].resp
+		resp, model = row[0].resp, row[0].by
 	}
 	s.finish(ctx, model, feat, &resp, start)
 	return resp, http.StatusOK, nil
@@ -435,18 +436,28 @@ func (s *Server) lookup(model *Model, feat feature.Vector, key CacheKey) (Predic
 }
 
 // finish stamps a served answer and runs the post-serve hooks every
-// path shares — end-to-end latency, online observation, resilience
-// notes and provenance — so a hit, a miss and a batch row are
-// indistinguishable to callers apart from the cached flag; the
+// path shares — end-to-end latency, the online feedback enqueue,
+// resilience notes and provenance — so a hit, a miss and a batch row
+// are indistinguishable to callers apart from the cached flag; the
 // differential fastpath suite in internal/conformance enforces that.
-func (s *Server) finish(ctx context.Context, model *Model, feat feature.Vector, resp *PredictResponse, start time.Time) {
+// by is the snapshot that gave the answer. The answer is final: finish
+// writes nothing back to the cache or to a miss row.
+func (s *Server) finish(ctx context.Context, by *Model, feat feature.Vector, resp *PredictResponse, start time.Time) {
 	resp.TraceID = obs.TraceID(ctx)
 	s.metrics.RequestLatency.ObserveTraced(time.Since(start), resp.TraceID)
-	if s.opts.Online != nil {
-		s.observeOnline(ctx, model, feat, resp)
+	if on := s.opts.Online; on != nil {
+		on.Observe(online.Sample{
+			Key:       resp.Key,
+			Features:  feat,
+			M:         resp.M,
+			Model:     resp.Model,
+			Predictor: resp.PredictorUsed,
+			TraceID:   resp.TraceID,
+			Probed:    resp.PredictorUsed == online.ProbePredictor,
+		})
 	}
 	s.noteResilience(ctx, resp)
-	s.recordProvenance(model, feat, resp)
+	s.recordProvenance(by, feat, resp)
 }
 
 // PredictCached answers one already-resolved characterization from the
@@ -474,40 +485,6 @@ func (s *Server) PredictCached(model string, feat feature.Vector) (m config.M, u
 	s.metrics.CacheLookup.ObserveTraced(dur, "")
 	s.metrics.RequestLatency.ObserveTraced(dur, "")
 	return val.M, val.Used, mod.Version, true
-}
-
-// observeOnline is the serve-path end of the learning loop: it assesses
-// the answer's confidence, re-derives low-confidence answers by bounded
-// exhaustive probe, and enqueues the final decision into the feedback
-// stream for background outcome collection.
-func (s *Server) observeOnline(ctx context.Context, model *Model, feat feature.Vector, resp *PredictResponse) {
-	on := s.opts.Online
-	if !resp.Cached && on.UncertaintyFloor() > 0 {
-		conf, probe := on.Assess(model.Link(resp.PredictorUsed), feat)
-		if probe {
-			_, sp := obs.StartSpan(ctx, "probe")
-			pm, _ := on.Probe(feat)
-			sp.SetAttr("confidence", strconv.FormatFloat(conf, 'g', 3, 64))
-			sp.End()
-			ev := fmt.Sprintf("probe: %s confidence %.3f below floor %.3f; exhaustive probe served",
-				resp.PredictorUsed, conf, on.UncertaintyFloor())
-			resp.M = pm
-			resp.PredictorUsed = online.ProbePredictor
-			resp.Resilience = append(resp.Resilience, ev)
-			// Overwrite the cache so repeats of this cell serve the probed
-			// answer without re-sweeping.
-			s.cache.Put(cacheKeyFor(model, feat), cachedPrediction{M: pm, Used: online.ProbePredictor})
-		}
-	}
-	on.Observe(online.Sample{
-		Key:       resp.Key,
-		Features:  feat,
-		M:         resp.M,
-		Model:     resp.Model,
-		Predictor: resp.PredictorUsed,
-		TraceID:   resp.TraceID,
-		Probed:    resp.PredictorUsed == online.ProbePredictor,
-	})
 }
 
 // handleOnline reports the learning loop's state; it is live only when
@@ -545,21 +522,12 @@ func (s *Server) noteResilience(ctx context.Context, resp *PredictResponse) {
 }
 
 // recordProvenance stores the decision record served from
-// /v1/explain/{trace-id}: the exact knobs returned plus the answering
-// link and the features it saw, from which the store derives the tree
-// path or NN margin when the record is read.
-func (s *Server) recordProvenance(model *Model, feat feature.Vector, resp *PredictResponse) {
+// /v1/explain/{trace-id}: the exact knobs returned plus the link of by,
+// the snapshot that answered, and the features it saw, from which the
+// store derives the tree path or NN margin when the record is read.
+func (s *Server) recordProvenance(by *Model, feat feature.Vector, resp *PredictResponse) {
 	if s.tracer == nil || resp.TraceID == "" {
 		return
-	}
-	// A breaker-routed answer came from a different snapshot; keep the
-	// link of the version that actually answered when we still hold it,
-	// otherwise the admitted model's link of the same name.
-	link := model.Link(resp.PredictorUsed)
-	if lg := s.registry.LastGood(model.Name); lg != nil && lg.Version == resp.Version {
-		if l := lg.Link(resp.PredictorUsed); l != nil {
-			link = l
-		}
 	}
 	s.tracer.Prov().Add(obs.Provenance{
 		TraceID:       resp.TraceID,
@@ -570,7 +538,7 @@ func (s *Server) recordProvenance(model *Model, feat feature.Vector, resp *Predi
 		Cached:        resp.Cached,
 		Events:        append(append([]string{}, resp.Fallbacks...), resp.Resilience...),
 		When:          time.Now(),
-		Link:          link,
+		Link:          by.Link(resp.PredictorUsed),
 		Features:      feat,
 	})
 }
@@ -755,17 +723,8 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("reload %q: snapshot corrupted in flight (chaos)", req.Model))
 		return
 	}
-	if s.opts.Canary != nil {
-		s.metrics.CanaryRuns.Add(1)
-	}
-	_, sp := obs.StartSpan(ctx, "canary")
-	m, canary, err := s.registry.ReloadDBValidated(req.Model, req.Path, s.opts.Canary)
+	m, canary, err := s.reload(ctx, req.Model, req.Path)
 	if err != nil {
-		sp.EndErr(err)
-		s.metrics.ReloadRejected.Add(1)
-		// Defensive: a rejected candidate never served, so its version
-		// can have no cache entries — purge proves it stays that way.
-		s.cache.PurgeModel(req.Model)
 		status := http.StatusBadRequest
 		if errors.Is(err, ErrCanaryRejected) {
 			status = http.StatusUnprocessableEntity
@@ -776,8 +735,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.errorJSON(ctx, w, status, err)
 		return
 	}
-	sp.End()
-	s.metrics.ReloadCount.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"model": ModelInfo{
 			Name: m.Name, Version: m.Version, Predictor: m.PredictorName(),
@@ -785,6 +742,25 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		},
 		"canary": canary,
 	})
+}
+
+// reload installs name from the profiler database at path through the
+// canary gate, counting the canary run and its outcome. /v1/reload and
+// the online loop's promotions both come through here.
+func (s *Server) reload(ctx context.Context, name, path string) (*Model, CanaryReport, error) {
+	if s.opts.Canary != nil {
+		s.metrics.CanaryRuns.Add(1)
+	}
+	_, sp := obs.StartSpan(ctx, "canary")
+	m, rep, err := s.registry.ReloadDBValidated(name, path, s.opts.Canary)
+	if err != nil {
+		sp.EndErr(err)
+		s.metrics.ReloadRejected.Add(1)
+		return nil, rep, err
+	}
+	sp.End()
+	s.metrics.ReloadCount.Add(1)
+	return m, rep, nil
 }
 
 // chaosRequest is the /v1/chaos body; rates in [0,1], delays in
