@@ -81,7 +81,7 @@ func TestClusterGracefulDrainZeroFiveHundreds(t *testing.T) {
 	// The router notices the drain announcement and takes the node off
 	// the ring; the node keeps answering during this detection window.
 	waitFor(t, 3*time.Second, "drain deregistration", func() bool {
-		p := rt.Peer(victim)
+		p := rt.peers[victim]
 		return p.State() == PeerDraining && !rt.Ring().Has(victim)
 	})
 	sent("20 requests from the drain on", draining+20)
@@ -108,7 +108,7 @@ func TestClusterGracefulDrainZeroFiveHundreds(t *testing.T) {
 	// The drained peer eventually reads dead (its process is gone), and
 	// the survivors own the whole ring.
 	waitFor(t, 3*time.Second, "drained peer marked dead", func() bool {
-		return rt.Peer(victim).State() == PeerDead
+		return rt.peers[victim].State() == PeerDead
 	})
 	if rt.Ring().Len() != 2 {
 		t.Fatalf("ring has %d nodes after drain, want 2", rt.Ring().Len())

@@ -64,9 +64,6 @@ func (p *Peer) State() PeerState { return PeerState(p.state.Load()) }
 
 func (p *Peer) setState(s PeerState) { p.state.Store(int32(s)) }
 
-// Breaker returns the peer's circuit breaker.
-func (p *Peer) Breaker() *fault.Breaker { return p.breaker }
-
 // Version returns the peer's last observed registry version (0: never
 // observed).
 func (p *Peer) Version() uint64 { return p.version.Load() }

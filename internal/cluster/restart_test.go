@@ -131,7 +131,7 @@ func TestClusterRestartUnderLoadWarmCache(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	waitFor(t, 5*time.Second, "reborn node readmission", func() bool {
-		p := rt.Peer(victim)
+		p := rt.peers[victim]
 		return p.State() == PeerLive && rt.Ring().Has(victim)
 	})
 	wg.Wait()

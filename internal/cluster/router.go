@@ -188,9 +188,6 @@ func (rt *Router) Metrics() *RouterMetrics { return rt.metrics }
 // Ring returns the current ring snapshot.
 func (rt *Router) Ring() *Ring { return rt.ring.Load() }
 
-// Peer returns a peer by address (nil when unknown).
-func (rt *Router) Peer(addr string) *Peer { return rt.peers[addr] }
-
 // PeerInfos describes every peer for /v1/cluster, sorted by address.
 func (rt *Router) PeerInfos() []PeerInfo {
 	ring := rt.ring.Load()
@@ -226,12 +223,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.Handle("/debug/traces", rt.tracer.TracesHandler())
 	return mux
 }
-
-// Tracer returns the router's tracer.
-func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
-
-// SLO returns the router's SLO tracker (nil when disabled).
-func (rt *Router) SLO() *obs.SLO { return rt.slo }
 
 // Start listens on Options.Addr and serves until Shutdown.
 func (rt *Router) Start() error {

@@ -179,7 +179,7 @@ func TestClusterFailoverOnKilledNode(t *testing.T) {
 
 	// The prober deregisters the dead peer from the ring.
 	waitFor(t, 3*time.Second, "dead peer deregistration", func() bool {
-		p := rt.Peer(victim)
+		p := rt.peers[victim]
 		return p.State() == PeerDead && !rt.Ring().Has(victim)
 	})
 	if rt.Metrics().Deregistered.Load() == 0 {
@@ -218,7 +218,7 @@ func TestClusterReadmitsRecoveredPeer(t *testing.T) {
 	})
 
 	waitFor(t, 3*time.Second, "peer readmission", func() bool {
-		p := rt.Peer(victim)
+		p := rt.peers[victim]
 		return p.State() == PeerLive && rt.Ring().Has(victim)
 	})
 	if rt.Metrics().Readmitted.Load() == 0 {
@@ -348,7 +348,7 @@ func TestClusterPassesRetryAfterThroughOnShed(t *testing.T) {
 	}
 	// Shedding is not a peer failure: neither breaker may have opened.
 	for _, addr := range []string{a, b} {
-		if _, fails := rt.Peer(addr).Breaker().Stats(); fails != 0 {
+		if _, fails := rt.peers[addr].breaker.Stats(); fails != 0 {
 			t.Fatalf("shed 503 fed peer %s breaker (%d failures)", addr, fails)
 		}
 	}
@@ -483,8 +483,8 @@ func TestClusterHealsUnusedHalfOpenTrial(t *testing.T) {
 			return ro
 		}})
 	rt := lc.Router
-	replica := rt.Peer(lc.NodeAddr(1))
-	replica.Breaker().RecordFailure() // opens it (threshold 1)
+	replica := rt.peers[lc.NodeAddr(1)]
+	replica.breaker.RecordFailure() // opens it (threshold 1)
 	for i, served := 0, 0; served < 3; i++ {
 		req := clusterReq(i)
 		feat, err := serve.ResolveFeatures(&req, 0.1)
@@ -502,6 +502,6 @@ func TestClusterHealsUnusedHalfOpenTrial(t *testing.T) {
 	}
 	waitFor(t, 3*time.Second, "the replica back on the ring with a closed breaker", func() bool {
 		return replica.State() == PeerLive && rt.Ring().Has(replica.Addr) &&
-			replica.Breaker().State() == fault.BreakerClosed
+			replica.breaker.State() == fault.BreakerClosed
 	})
 }

@@ -74,8 +74,8 @@ func TestClusterHedgeNeverMixesVersionsUnderReloadChurn(t *testing.T) {
 	// Wait until the router has observed both peers' versions at least
 	// once, so early hedges aren't all suppressed by version 0.
 	waitFor(t, 3*time.Second, "router observes peer versions", func() bool {
-		return rt.Peer(lc.NodeAddr(aIdx)).Version() != 0 &&
-			rt.Peer(lc.NodeAddr(bIdx)).Version() != 0
+		return rt.peers[lc.NodeAddr(aIdx)].Version() != 0 &&
+			rt.peers[lc.NodeAddr(bIdx)].Version() != 0
 	})
 
 	// Churn B's registry: every Register bumps its version, racing the

@@ -536,9 +536,8 @@ func newSpanAt(ctx context.Context, name string, start time.Time) *Span {
 }
 
 // AddSpan records an already-completed stage (start + duration) under
-// the span carried by ctx — how the serve path records its cache
-// lookup after timing it, and how the router marks instant events such
-// as a skipped hedge.
+// the span carried by ctx — how the router marks instant events such as
+// a skipped hedge.
 func AddSpan(ctx context.Context, name string, start time.Time, d time.Duration, attrs ...Attr) {
 	sp := newSpanAt(ctx, name, start)
 	if sp == nil {

@@ -72,6 +72,7 @@ type cacheShard struct {
 	items map[CacheKey]*list.Element
 }
 
+// cacheEntry is one cache entry, in its shard and in snapshot form.
 type cacheEntry struct {
 	key CacheKey
 	val cachedPrediction
@@ -163,21 +164,14 @@ func (c *Cache) Stats() (hits, misses, evictions uint64) {
 	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
 }
 
-// exportEntry is one cache entry in snapshot form.
-type exportEntry struct {
-	key CacheKey
-	val cachedPrediction
-}
-
 // export copies every live entry, least recently used first, so a
 // restore that replays them in order leaves the recency order intact.
-func (c *Cache) export() []exportEntry {
-	var out []exportEntry
+func (c *Cache) export() []cacheEntry {
+	var out []cacheEntry
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for el := s.ll.Back(); el != nil; el = el.Prev() {
-			e := el.Value.(*cacheEntry)
-			out = append(out, exportEntry{key: e.key, val: e.val})
+			out = append(out, *el.Value.(*cacheEntry))
 		}
 		s.mu.Unlock()
 	}

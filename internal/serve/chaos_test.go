@@ -31,8 +31,8 @@ func TestBreakerOpensAndRoutesToLastGood(t *testing.T) {
 	// Two slow inferences (distinct keys so the cache cannot answer)
 	// open the breaker.
 	for i := 0; i < 2; i++ {
-		if _, _, err := predictFeat(context.Background(), s, "live", testFeature(i)); err != nil {
-			t.Fatal(err)
+		if r, status := predictFeat(context.Background(), s, "live", testFeature(i)); status != 0 {
+			t.Fatalf("status %d: %s", status, r.Error)
 		}
 	}
 	if st := slow.Breaker().State(); st.String() != "open" {
@@ -41,9 +41,9 @@ func TestBreakerOpensAndRoutesToLastGood(t *testing.T) {
 	}
 
 	start := time.Now()
-	resp, _, err := predictFeat(context.Background(), s, "live", testFeature(9))
-	if err != nil {
-		t.Fatal(err)
+	resp, status := predictFeat(context.Background(), s, "live", testFeature(9))
+	if status != 0 {
+		t.Fatalf("status %d: %s", status, resp.Error)
 	}
 	if resp.Version != fast.Version {
 		t.Fatalf("open breaker did not route to last-known-good: version %d", resp.Version)
@@ -87,9 +87,9 @@ func TestBatchBreakerOpenRoutesOnePass(t *testing.T) {
 		f := testFeature(i)
 		reqs[i] = PredictRequest{Model: "live", Features: f[:]}
 	}
-	resps, failed := s.predictBatch(context.Background(), reqs)
-	if failed {
-		t.Fatal("routed batch reported a failed item")
+	resps, status := s.predict(context.Background(), reqs)
+	if status != 0 {
+		t.Fatalf("routed batch reported a failed item: status %d", status)
 	}
 	event := fmt.Sprintf("breaker: live@v%d open, routed to last-known-good live@v%d",
 		primary.Version, good.Version)
@@ -140,14 +140,14 @@ func TestBatchChaosSlowModelOnePass(t *testing.T) {
 		f := testFeature(i)
 		reqs[i] = PredictRequest{Model: "live", Features: f[:]}
 	}
-	resps, failed := s.predictBatch(context.Background(), reqs)
+	resps, status := s.predict(context.Background(), reqs)
 	for i, r := range resps {
 		if r.Error != "" || r.Cached {
 			t.Fatalf("row %d: cached %v error %q, want its own inference", i, r.Cached, r.Error)
 		}
 	}
-	if failed {
-		t.Fatal("batch reported a failed item")
+	if status != 0 {
+		t.Fatalf("batch reported a failed item: status %d", status)
 	}
 	m := s.Metrics()
 	if m.Batches.Load() != 1 || m.BatchItems.Load() != rows || m.ChaosSlowModel.Load() != 1 {
@@ -172,17 +172,17 @@ func TestChaosSlowModelSparesBreakerRoute(t *testing.T) {
 	primary, _ := s.Registry().Register("live", "v2", fixedPred{m: config.DefaultMulticore(limits)})
 
 	for i := 0; i < 2; i++ {
-		if _, _, err := predictFeat(context.Background(), s, "live", testFeature(i)); err != nil {
-			t.Fatal(err)
+		if r, status := predictFeat(context.Background(), s, "live", testFeature(i)); status != 0 {
+			t.Fatalf("status %d: %s", status, r.Error)
 		}
 	}
 	if st := primary.Breaker().State(); st != fault.BreakerOpen {
 		t.Fatalf("breaker = %s after two injected stalls", st)
 	}
 	start := time.Now()
-	resp, _, err := predictFeat(context.Background(), s, "live", testFeature(9))
-	if err != nil {
-		t.Fatal(err)
+	resp, status := predictFeat(context.Background(), s, "live", testFeature(9))
+	if status != 0 {
+		t.Fatalf("status %d: %s", status, resp.Error)
 	}
 	if resp.Version != good.Version {
 		t.Fatalf("open breaker did not route to last-known-good: version %d", resp.Version)
@@ -195,15 +195,16 @@ func TestChaosSlowModelSparesBreakerRoute(t *testing.T) {
 	}
 }
 
-// Admission-saturation chaos sheds misses with 503 ErrQueueFull.
+// Admission-saturation chaos sheds misses with 503 and ErrQueueFull's
+// message.
 func TestChaosQueueReject(t *testing.T) {
 	inj := fault.NewServeInjector(7)
 	inj.SetServeProfile(fault.ServeProfile{QueueRejectRate: 1})
 	s := missServer(t, Options{Chaos: inj}, fixedPred{m: config.DefaultGPU(machine.PrimaryPair().Limits())})
 
-	_, status, err := predictFeat(context.Background(), s, "live", testFeature(2))
-	if err != ErrQueueFull || status != http.StatusServiceUnavailable {
-		t.Fatalf("status %d err %v, want 503 ErrQueueFull", status, err)
+	r, status := predictFeat(context.Background(), s, "live", testFeature(2))
+	if status != http.StatusServiceUnavailable || r.Error != ErrQueueFull.Error() {
+		t.Fatalf("status %d error %q, want 503 %q", status, r.Error, ErrQueueFull)
 	}
 	m := s.Metrics()
 	if m.ChaosQueueReject.Load() != 1 || m.QueueFull.Load() != 1 {

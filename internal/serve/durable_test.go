@@ -183,15 +183,15 @@ func TestCacheSnapshotRestoresOnlyTheSameSource(t *testing.T) {
 	f := testFeature(3)
 	dir := t.TempDir()
 	s := durableServer(t, dir, nil)
-	if _, _, err := predictFeat(context.Background(), s, "tree", f); err != nil {
-		t.Fatal(err)
+	if r, status := predictFeat(context.Background(), s, "tree", f); status != 0 {
+		t.Fatalf("status %d: %s", status, r.Error)
 	}
 	if _, err := s.Registry().ReloadDB("tree", dbPath); err != nil {
 		t.Fatal(err)
 	}
-	db, _, err := predictFeat(context.Background(), s, "tree", f)
-	if err != nil || db.PredictorUsed != "DB Lookup" {
-		t.Fatalf("reloaded answer: %s (err %v), want DB Lookup", db.PredictorUsed, err)
+	db, status := predictFeat(context.Background(), s, "tree", f)
+	if status != 0 || db.PredictorUsed != "DB Lookup" {
+		t.Fatalf("reloaded answer: %s (status %d %q), want DB Lookup", db.PredictorUsed, status, db.Error)
 	}
 	if err := s.SnapshotCache(); err != nil {
 		t.Fatal(err)
@@ -202,9 +202,9 @@ func TestCacheSnapshotRestoresOnlyTheSameSource(t *testing.T) {
 		t.Fatalf("restart on the builtin tree restored %d and dropped %d entries, want 0 and 1",
 			st.CacheRestored, st.CacheDropped)
 	}
-	if r, _, err := predictFeat(context.Background(), builtin, "tree", f); err != nil || r.Cached || r.PredictorUsed == "DB Lookup" {
-		t.Fatalf("restart on the builtin tree served %s (cached %v, err %v), want its own uncached answer",
-			r.PredictorUsed, r.Cached, err)
+	if r, status := predictFeat(context.Background(), builtin, "tree", f); status != 0 || r.Cached || r.PredictorUsed == "DB Lookup" {
+		t.Fatalf("restart on the builtin tree served %s (cached %v, status %d %q), want its own uncached answer",
+			r.PredictorUsed, r.Cached, status, r.Error)
 	}
 
 	reloaded := New(Options{Pair: pair, DurableDir: dir})
@@ -214,9 +214,9 @@ func TestCacheSnapshotRestoresOnlyTheSameSource(t *testing.T) {
 	if st := reloaded.RecoverDurable(); st.CacheRestored != 1 {
 		t.Fatalf("restart on the same database restored %d entries, want 1", st.CacheRestored)
 	}
-	if r, _, err := predictFeat(context.Background(), reloaded, "tree", f); err != nil || !r.Cached || r.M != db.M {
-		t.Fatalf("restart on the same database served %s %v (cached %v, err %v), want %v from the cache",
-			r.PredictorUsed, r.M, r.Cached, err, db.M)
+	if r, status := predictFeat(context.Background(), reloaded, "tree", f); status != 0 || !r.Cached || r.M != db.M {
+		t.Fatalf("restart on the same database served %s %v (cached %v, status %d %q), want %v from the cache",
+			r.PredictorUsed, r.M, r.Cached, status, r.Error, db.M)
 	}
 }
 

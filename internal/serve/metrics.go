@@ -98,7 +98,9 @@ func (m *Metrics) Model(name string) *modelStats {
 	return s.(*modelStats)
 }
 
-// ObserveModel records one prediction served by a model.
+// ObserveModel records one inference pass answered by a model and its
+// duration. A pass counts once however many rows it answered, and a
+// cache hit runs no pass.
 func (m *Metrics) ObserveModel(name string, d time.Duration) {
 	s := m.Model(name)
 	s.requests.Add(1)
@@ -174,7 +176,7 @@ func (m *Metrics) Families(cache *Cache, queueDepth func() int, models []ModelIn
 	m.perModel.Range(func(k, _ any) bool { names = append(names, k.(string)); return true })
 	sort.Strings(names)
 	if len(names) > 0 {
-		requests := obs.Family{Name: "heteromap_model_requests_total", Help: "predictions served per model", Type: "counter"}
+		requests := obs.Family{Name: "heteromap_model_requests_total", Help: "inference passes per model", Type: "counter"}
 		latency := obs.Family{Name: "heteromap_model_duration_seconds", Help: "per-model inference latency", Type: "histogram"}
 		for _, n := range names {
 			s, model := m.Model(n), obs.Label{Name: "model", Value: n}

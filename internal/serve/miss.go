@@ -13,10 +13,10 @@ import (
 	"heteromap/internal/online"
 )
 
-// ErrQueueFull is returned when the miss path's admission semaphore is
-// full (or chaos saturates it); the server converts it into 503 with a
-// Retry-After hint, so load sheds at admission instead of collapsing
-// latency for everyone.
+// ErrQueueFull is the error of a miss shed because the miss path's
+// admission semaphore is full (or chaos saturates it); its item answers
+// 503, with a Retry-After hint on /v1/predict, so load sheds at
+// admission instead of collapsing latency for everyone.
 var ErrQueueFull = fmt.Errorf("serve: prediction queue full")
 
 // breakerSlowInference is the per-version breaker's latency rule: an
@@ -48,7 +48,7 @@ type missRow struct {
 
 // answerMisses answers the distinct cache misses of one request under
 // one model snapshot, on the caller's goroutine. It is the only miss
-// path: a single request's miss is a one-row call.
+// path, and predict its only caller.
 //
 // The call takes one of QueueSize admission slots, or sheds every row
 // with 503, and answers its rows with one inference pass. Beyond the
@@ -192,9 +192,9 @@ func (s *Server) dropExpired(ctx context.Context, r *missRow, err error) {
 	r.status, r.err = http.StatusGatewayTimeout, err
 }
 
-// batchItem is one resolved batch item.
+// batchItem is one resolved request item.
 type batchItem struct {
-	i     int // position in the batch
+	i     int // position in the request
 	model *Model
 	feat  feature.Vector
 	key   CacheKey
@@ -204,26 +204,33 @@ type batchItem struct {
 	repeat bool // an earlier item of the request has the same row
 }
 
-// predictBatch answers a batch request's items in order on the calling
-// goroutine and reports whether any item failed with a 5xx status. Hits
-// are answered from the cache. The distinct misses under each model
+// predict answers a request's items in order on the calling goroutine:
+// it is the node's one request path, and /v1/predict is a one-item call.
+// Hits are answered from the cache. The distinct misses under each model
 // snapshot go through one answerMisses call. A row repeated inside the
-// request serves its first occurrence's answer and reports Cached.
+// request serves its first occurrence's answer and reports Cached. A
+// failed item carries its message in Error, and status is the largest
+// HTTP status any item failed with (0 when none did).
 //
 // One resolve span covers resolving and looking up every item: per-item
 // spans would multiply a batch trace's size by its item count.
-func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps []PredictResponse, failed bool) {
+func (s *Server) predict(ctx context.Context, reqs []PredictRequest) (resps []PredictResponse, status int) {
 	resps = make([]PredictResponse, len(reqs))
+	fail := func(i, st int, err error) {
+		resps[i].Error = err.Error()
+		status = max(status, st)
+	}
 	var hits, misses []batchItem
 	_, sp := obs.StartSpan(ctx, "resolve")
 	for i := range reqs {
 		feat, err := ResolveFeatures(&reqs[i], feature.DiscretizationStep)
-		var model *Model
-		if err == nil {
-			model, err = s.model(ctx, reqs[i].Model)
-		}
 		if err != nil {
-			resps[i].Error = err.Error()
+			fail(i, http.StatusBadRequest, err)
+			continue
+		}
+		model, err := s.model(ctx, reqs[i].Model)
+		if err != nil {
+			fail(i, http.StatusNotFound, err)
 			continue
 		}
 		it := batchItem{i: i, model: model, feat: feat, key: cacheKeyFor(model, feat), start: time.Now()}
@@ -268,8 +275,7 @@ func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps
 		for _, it := range group {
 			r := &rows[it.row]
 			if r.err != nil {
-				resps[it.i].Error = r.err.Error()
-				failed = failed || r.status >= http.StatusInternalServerError
+				fail(it.i, r.status, r.err)
 				continue
 			}
 			resp := r.resp
@@ -281,7 +287,7 @@ func (s *Server) predictBatch(ctx context.Context, reqs []PredictRequest) (resps
 			resps[it.i] = resp
 		}
 	}
-	return resps, failed
+	return resps, status
 }
 
 // modelVersionTag renders the "name@vN" label used in traces and events.

@@ -94,9 +94,12 @@ func missServer(t *testing.T, opts Options, pred predict.Predictor) *Server {
 	return s
 }
 
-// predictFeat sends one raw-feature request down the predict path.
-func predictFeat(ctx context.Context, s *Server, model string, f feature.Vector) (PredictResponse, int, error) {
-	return s.predictOne(ctx, &PredictRequest{Model: model, Features: f[:]})
+// predictFeat sends one raw-feature request down the request path, as
+// /v1/predict does, and returns its answer and its failure status (0
+// when it was served).
+func predictFeat(ctx context.Context, s *Server, model string, f feature.Vector) (PredictResponse, int) {
+	resps, status := s.predict(ctx, []PredictRequest{{Model: model, Features: f[:]}})
+	return resps[0], status
 }
 
 // Concurrent identical misses agree: every request answers the same M,
@@ -115,9 +118,9 @@ func TestConcurrentMissesAgree(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			r, _, err := predictFeat(context.Background(), s, "live", f)
-			if err != nil {
-				t.Errorf("predict %d: %v", i, err)
+			r, status := predictFeat(context.Background(), s, "live", f)
+			if status != 0 {
+				t.Errorf("predict %d: status %d: %s", i, status, r.Error)
 				return
 			}
 			resps[i] = r
@@ -146,9 +149,9 @@ func TestConcurrentMissesAgree(t *testing.T) {
 	}
 
 	// A follow-up for the same key must be served from the cache.
-	r, _, err := predictFeat(context.Background(), s, "live", f)
-	if err != nil {
-		t.Fatal(err)
+	r, status := predictFeat(context.Background(), s, "live", f)
+	if status != 0 {
+		t.Fatalf("status %d: %s", status, r.Error)
 	}
 	if !r.Cached {
 		t.Fatal("repeat request not served from cache")
@@ -164,23 +167,23 @@ func TestBatcherQueueFull(t *testing.T) {
 	gate := newGatedPred(t)
 	s := missServer(t, Options{QueueSize: 1}, gate)
 
-	first := make(chan error, 1)
+	first := make(chan int, 1)
 	go func() {
-		_, _, err := predictFeat(context.Background(), s, "live", testFeature(0))
-		first <- err
+		_, status := predictFeat(context.Background(), s, "live", testFeature(0))
+		first <- status
 	}()
 	<-gate.entered // the only slot is held by a running inference
 
 	const extra = 7
 	for i := 1; i <= extra; i++ {
-		_, status, err := predictFeat(context.Background(), s, "live", testFeature(i))
-		if err != ErrQueueFull || status != http.StatusServiceUnavailable {
-			t.Fatalf("miss %d: status %d err %v, want 503 %v", i, status, err, ErrQueueFull)
+		r, status := predictFeat(context.Background(), s, "live", testFeature(i))
+		if status != http.StatusServiceUnavailable || r.Error != ErrQueueFull.Error() {
+			t.Fatalf("miss %d: status %d error %q, want 503 %q", i, status, r.Error, ErrQueueFull)
 		}
 	}
 	gate.open()
-	if err := <-first; err != nil {
-		t.Fatal(err)
+	if status := <-first; status != 0 {
+		t.Fatalf("the admitted miss failed with status %d", status)
 	}
 	if got := s.Metrics().QueueFull.Load(); got != extra {
 		t.Fatalf("QueueFull metric %d != %d rejections", got, extra)
@@ -194,14 +197,14 @@ func TestBatcherContextCancel(t *testing.T) {
 	s := missServer(t, Options{Pair: pair}, &slowPred{m: config.DefaultGPU(pair.Limits()), delay: 50 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, status, err := predictFeat(ctx, s, "live", testFeature(1)); err != context.DeadlineExceeded || status != http.StatusGatewayTimeout {
-		t.Fatalf("status %d err %v, want 504 deadline exceeded", status, err)
+	if r, status := predictFeat(ctx, s, "live", testFeature(1)); status != http.StatusGatewayTimeout || r.Error != context.DeadlineExceeded.Error() {
+		t.Fatalf("status %d error %q, want 504 %q", status, r.Error, context.DeadlineExceeded)
 	}
 	if got := s.Metrics().DeadlineDrops.Load(); got != 1 {
 		t.Fatalf("DeadlineDrops = %d, want 1", got)
 	}
-	if r, _, err := predictFeat(context.Background(), s, "live", testFeature(1)); err != nil || !r.Cached {
-		t.Fatalf("repeat of the late miss: cached %v err %v, want its cached answer", r.Cached, err)
+	if r, status := predictFeat(context.Background(), s, "live", testFeature(1)); status != 0 || !r.Cached {
+		t.Fatalf("repeat of the late miss: cached %v status %d, want its cached answer", r.Cached, status)
 	}
 }
 
@@ -212,8 +215,8 @@ func TestBatchRepeatedRowSharesInference(t *testing.T) {
 	pair := machine.PrimaryPair()
 	pred := &countingPred{m: config.DefaultGPU(pair.Limits())}
 	s := missServer(t, Options{Pair: pair}, pred)
-	if r, _, err := predictFeat(context.Background(), s, "live", testFeature(0)); err != nil || r.Cached {
-		t.Fatalf("warm-up: cached %v err %v", r.Cached, err)
+	if r, status := predictFeat(context.Background(), s, "live", testFeature(0)); status != 0 || r.Cached {
+		t.Fatalf("warm-up: cached %v status %d", r.Cached, status)
 	}
 
 	rows := []int{1, 2, 1, 0, 2, 1} // testFeature indices; 0 is warm
@@ -223,7 +226,7 @@ func TestBatchRepeatedRowSharesInference(t *testing.T) {
 		f := testFeature(r)
 		reqs[i] = PredictRequest{Model: "live", Features: f[:]}
 	}
-	resps, _ := s.predictBatch(context.Background(), reqs)
+	resps, _ := s.predict(context.Background(), reqs)
 	if len(resps) != len(rows) {
 		t.Fatalf("batch answered %d of %d rows", len(resps), len(rows))
 	}
@@ -269,9 +272,9 @@ func TestProbeServedToConcurrentMisses(t *testing.T) {
 
 	answers := make(chan PredictResponse, 2)
 	ask := func() {
-		r, _, err := predictFeat(context.Background(), s, "live", f)
-		if err != nil {
-			t.Error(err)
+		r, status := predictFeat(context.Background(), s, "live", f)
+		if status != 0 {
+			t.Errorf("status %d: %s", status, r.Error)
 		}
 		answers <- r
 	}
@@ -305,12 +308,12 @@ func TestProbeServedToBatchRepeat(t *testing.T) {
 	s := probingServer(t, fixedPred{m: gpu})
 	f := shiftedCells(t, 1)[0]
 
-	resps, failed := s.predictBatch(context.Background(), []PredictRequest{
+	resps, status := s.predict(context.Background(), []PredictRequest{
 		{Model: "live", Features: f[:]},
 		{Model: "live", Features: f[:]},
 	})
-	if failed {
-		t.Fatalf("batch failed: %+v", resps)
+	if status != 0 {
+		t.Fatalf("batch failed with status %d: %+v", status, resps)
 	}
 	first, repeat := resps[0], resps[1]
 	if first.Error != "" || first.Cached || first.PredictorUsed != online.ProbePredictor || first.M == gpu {
@@ -333,13 +336,13 @@ func TestLateMissCachesProbedAnswer(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	if _, status, err := predictFeat(ctx, s, "live", f); status != http.StatusGatewayTimeout {
-		t.Fatalf("late miss: status %d err %v, want 504", status, err)
+	if r, status := predictFeat(ctx, s, "live", f); status != http.StatusGatewayTimeout {
+		t.Fatalf("late miss: status %d error %q, want 504", status, r.Error)
 	}
-	r, _, err := predictFeat(context.Background(), s, "live", f)
-	if err != nil || !r.Cached || r.PredictorUsed != online.ProbePredictor || r.M == gpu {
-		t.Fatalf("next request: %s %v (cached %v, err %v), want the probed answer from the cache",
-			r.PredictorUsed, r.M, r.Cached, err)
+	r, status := predictFeat(context.Background(), s, "live", f)
+	if status != 0 || !r.Cached || r.PredictorUsed != online.ProbePredictor || r.M == gpu {
+		t.Fatalf("next request: %s %v (cached %v, status %d), want the probed answer from the cache",
+			r.PredictorUsed, r.M, r.Cached, status)
 	}
 }
 

@@ -92,6 +92,17 @@ func spanNames(rec obs.TraceRecord) map[string]string {
 	return out
 }
 
+// spanAttr returns the value of attribute key on the first span named
+// name.
+func spanAttr(rec obs.TraceRecord, name, key string) string {
+	for _, sp := range rec.Spans {
+		if sp.Name == name {
+			return sp.Attrs[key]
+		}
+	}
+	return ""
+}
+
 func bfsRequest(model string) PredictRequest {
 	return PredictRequest{
 		Model: model, Bench: "BFS",
@@ -137,8 +148,7 @@ func TestTraceEndToEndCoversPipeline(t *testing.T) {
 	}
 	names := spanNames(rec)
 	for _, stage := range []string{
-		"predict", "decode", "resolve", "registry",
-		"cache", "inference", "consult:Decision Tree",
+		"predict", "decode", "resolve", "inference", "consult:Decision Tree",
 	} {
 		if _, ok := names[stage]; !ok {
 			t.Fatalf("stage span %q missing; trace has %v", stage, names)
@@ -152,9 +162,12 @@ func TestTraceEndToEndCoversPipeline(t *testing.T) {
 	if rec.Attrs["model"] != "tree" {
 		t.Fatalf("trace model attr = %q", rec.Attrs["model"])
 	}
+	if hits := spanAttr(rec, "resolve", "hits"); hits != "0" {
+		t.Fatalf("resolve span hits = %q on a miss, want 0", hits)
+	}
 
-	// The cached repeat still traces — but records a cache hit and no
-	// inference span.
+	// The cached repeat still traces — but records a cache hit on the
+	// resolve span and no inference span.
 	resp2, body2 := postJSON(t, ts.URL+"/v1/predict", bfsRequest("tree"))
 	var pr2 PredictResponse
 	if err := json.Unmarshal(body2, &pr2); err != nil {
@@ -171,8 +184,61 @@ func TestTraceEndToEndCoversPipeline(t *testing.T) {
 	if _, ok := names2["inference"]; ok {
 		t.Fatal("cache hit still recorded an inference span")
 	}
-	if _, ok := names2["cache"]; !ok {
-		t.Fatal("cache span missing on hit")
+	if hits := spanAttr(rec2, "resolve", "hits"); hits != "1" {
+		t.Fatalf("resolve span hits = %q on a cache hit, want 1", hits)
+	}
+}
+
+// /v1/predict is a one-item call of the batch routine: a miss and then a
+// hit on the same item leave the same spans under the root, the same
+// hits on resolve and the same metric deltas whether they came as
+// /v1/predict or as a one-item /v1/predict/batch.
+func TestSingleRequestIsOneItemBatch(t *testing.T) {
+	type step struct {
+		spans  []string
+		hits   string
+		deltas [5]uint64 // Requests, CacheLookup, Batches, BatchItems, RequestLatency
+	}
+	run := func(path string, body any) []step {
+		tracer, _ := newObsTracer(1)
+		s, ts := newTestServer(t, Options{Tracer: tracer})
+		m := s.Metrics()
+		counts := func() [5]uint64 {
+			return [5]uint64{m.Requests.Load(), m.CacheLookup.Count(), m.Batches.Load(),
+				m.BatchItems.Load(), m.RequestLatency.Count()}
+		}
+		var steps []step
+		for range 2 { // a miss, then a hit on the same item
+			before := counts()
+			resp, out := postJSON(t, ts.URL+path, body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", path, resp.StatusCode, out)
+			}
+			after := counts()
+			rec, ok := findTrace(tracer, resp.Header.Get(obs.TraceHeader))
+			if !ok {
+				t.Fatalf("%s: trace not retained (SampleRate 1)", path)
+			}
+			st := step{hits: spanAttr(rec, "resolve", "hits")}
+			for _, sp := range rec.Spans {
+				if sp.Parent >= 0 {
+					st.spans = append(st.spans, sp.Name)
+				}
+			}
+			for i := range after {
+				st.deltas[i] = after[i] - before[i]
+			}
+			steps = append(steps, st)
+		}
+		return steps
+	}
+	req := bfsRequest("tree")
+	single := run("/v1/predict", req)
+	batch := run("/v1/predict/batch", BatchRequest{Requests: []PredictRequest{req}})
+	for i, what := range []string{"miss", "hit"} {
+		if !reflect.DeepEqual(single[i], batch[i]) {
+			t.Fatalf("%s: /v1/predict left %+v, a one-item batch %+v", what, single[i], batch[i])
+		}
 	}
 }
 
@@ -460,8 +526,8 @@ func TestStageAccountingSumsToTotal(t *testing.T) {
 
 	const n = 3
 	for i := 0; i < n; i++ {
-		if _, _, err := predictFeat(context.Background(), s, "live", testFeature(i)); err != nil {
-			t.Fatal(err)
+		if r, status := predictFeat(context.Background(), s, "live", testFeature(i)); status != 0 {
+			t.Fatalf("status %d: %s", status, r.Error)
 		}
 	}
 	for _, st := range []struct {
@@ -567,7 +633,7 @@ func TestBatchSLOCountsFailedItems(t *testing.T) {
 // no trace id, no ring — nil-safe instrumentation end to end.
 func TestDisableTracingServesWithoutTraces(t *testing.T) {
 	s, ts := newTestServer(t, Options{DisableTracing: true})
-	if s.Tracer() != nil {
+	if s.tracer != nil {
 		t.Fatal("tracer built despite DisableTracing")
 	}
 	resp, body := postJSON(t, ts.URL+"/v1/predict", bfsRequest("tree"))

@@ -377,8 +377,8 @@ func TestShutdownClosesOnlineManager(t *testing.T) {
 	mgr := online.New(opts)
 	s := missServer(t, Options{Pair: pair, Online: mgr}, fixedPred{m: config.DefaultGPU(pair.Limits())})
 	for i := 0; i < 4; i++ {
-		if _, _, err := predictFeat(context.Background(), s, "live", testFeature(i)); err != nil {
-			t.Fatal(err)
+		if r, status := predictFeat(context.Background(), s, "live", testFeature(i)); status != 0 {
+			t.Fatalf("status %d: %s", status, r.Error)
 		}
 	}
 	if n := mgr.Tick(); n != 4 {

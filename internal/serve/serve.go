@@ -13,13 +13,15 @@
 //     version plus the discretized (B, I) feature key — the paper's
 //     0.1-step discretization makes the key space finite, so realistic
 //     traffic repeats keys and hit rates are high;
-//   - misses are answered inline on the request's own goroutine, a
-//     single request's one miss and a batch's distinct misses alike: a
-//     non-blocking admission semaphore sheds overload with 503, a
-//     request's misses share one pass through the model's chain, and a
-//     miss whose deadline passes before its answer gets 504. Beyond the
-//     semaphore, one request's misses share nothing with another's:
-//     each request answers its own misses and caches what it serves;
+//   - both predict endpoints answer through one routine, a single
+//     request being a one-item batch: it resolves each item, answers
+//     hits from the cache, and answers the misses inline on the
+//     request's own goroutine: a non-blocking admission semaphore sheds
+//     overload with 503, a request's misses share one pass through the
+//     model's chain, and a miss whose deadline passes before its answer
+//     gets 504. Beyond the semaphore, one request's misses share
+//     nothing with another's: each request answers its own misses and
+//     caches what it serves;
 //   - a Metrics layer (atomic counters + latency histograms) exposes the
 //     whole pipeline in Prometheus text format on /metrics.
 //

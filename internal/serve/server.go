@@ -229,12 +229,6 @@ func (s *Server) Registry() *Registry { return s.registry }
 // Metrics returns the server's metrics set.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Tracer returns the server's tracer (nil when tracing is disabled).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// SLO returns the server's SLO tracker (nil when disabled).
-func (s *Server) SLO() *obs.SLO { return s.slo }
-
 // Handler returns the API mux (usable under httptest without a socket).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -363,46 +357,6 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, decode func(
 		return http.StatusBadRequest, fmt.Errorf("decode request: %w", err)
 	}
 	return http.StatusOK, nil
-}
-
-// predictOne answers one request: resolve, the cache, and on a miss a
-// one-row answerMisses call (miss.go). The returned status is the HTTP
-// code an error should carry. When ctx carries a trace, each stage is
-// recorded as a span and the served answer leaves a provenance record
-// behind.
-func (s *Server) predictOne(ctx context.Context, req *PredictRequest) (PredictResponse, int, error) {
-	rctx, sp := obs.StartSpan(ctx, "resolve")
-	feat, err := ResolveFeatures(req, feature.DiscretizationStep)
-	if err != nil {
-		sp.EndErr(err)
-		return PredictResponse{}, http.StatusBadRequest, err
-	}
-	sp.End()
-	_, sp = obs.StartSpan(rctx, "registry")
-	model, err := s.model(ctx, req.Model)
-	if err != nil {
-		sp.EndErr(err)
-		return PredictResponse{}, http.StatusNotFound, err
-	}
-	sp.SetAttr("model", modelVersionTag(model))
-	sp.End()
-
-	start := time.Now()
-	key := cacheKeyFor(model, feat)
-	resp, hit := s.lookup(model, feat, key)
-	dur := time.Since(start)
-	s.metrics.CacheLookup.ObserveTraced(dur, obs.TraceID(ctx))
-	obs.AddSpan(ctx, "cache", start, dur, obs.Attr{Key: "hit", Value: strconv.FormatBool(hit)})
-	if !hit {
-		row := []missRow{{feat: feat}}
-		s.answerMisses(ctx, model, row)
-		if row[0].err != nil {
-			return PredictResponse{}, row[0].status, row[0].err
-		}
-		resp, model = row[0].resp, row[0].by
-	}
-	s.finish(ctx, model, feat, &resp, start)
-	return resp, http.StatusOK, nil
 }
 
 // model resolves the registry entry that answers a request, counting
@@ -557,9 +511,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(obs.TraceHeader, tr.ID())
 	}
 	_, sp := obs.StartSpan(ctx, "decode")
-	var req PredictRequest
+	reqs := make([]PredictRequest, 1)
 	if status, err := s.decodeBody(w, r, func(body []byte) (err error) {
-		req, err = DecodePredictRequest(body)
+		reqs[0], err = DecodePredictRequest(body)
 		return err
 	}); err != nil {
 		sp.EndErr(err)
@@ -570,19 +524,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	sp.End()
 	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
 	defer cancel()
-	resp, status, err := s.predictOne(ctx, &req)
-	if err != nil {
-		if status == http.StatusServiceUnavailable && errors.Is(err, ErrQueueFull) {
+	resps, status := s.predict(ctx, reqs)
+	resp := &resps[0]
+	if status != 0 {
+		// Only admission shedding answers 503 (miss.go).
+		if status == http.StatusServiceUnavailable {
 			s.setRetryAfter(w)
 		}
-		s.errorJSON(ctx, w, status, err)
+		s.errorJSON(ctx, w, status, errors.New(resp.Error))
 		s.slo.Observe(status < 500, time.Since(start))
 		return
 	}
 	// The answering model version rides a header so cluster routers can
 	// track peer registry generations without decoding the body.
 	w.Header().Set(VersionHeader, strconv.FormatUint(resp.Version, 10))
-	ok := s.writeWire(w, func(b []byte) ([]byte, error) { return AppendPredictResponse(b, &resp) })
+	ok := s.writeWire(w, func(b []byte) ([]byte, error) { return AppendPredictResponse(b, resp) })
 	s.slo.Observe(ok, time.Since(start))
 }
 
@@ -651,23 +607,27 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		w.Header().Set(obs.TraceHeader, tr.ID())
 	}
+	_, sp := obs.StartSpan(tctx, "decode")
 	var req BatchRequest
 	if status, err := s.decodeBody(w, r, func(body []byte) (err error) {
 		req, err = DecodeBatchRequest(body)
 		return err
 	}); err != nil {
+		sp.EndErr(err)
 		s.errorJSON(tctx, w, status, err)
 		return
 	}
+	sp.End()
 	if len(req.Requests) == 0 {
 		s.errorJSON(tctx, w, http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
 	ctx, cancel := context.WithTimeout(tctx, s.opts.RequestTimeout)
 	defer cancel()
-	resps, failed := s.predictBatch(ctx, req.Requests)
+	resps, status := s.predict(ctx, req.Requests)
 	resp := BatchResponse{Responses: resps}
-	ok = s.writeWire(w, func(b []byte) ([]byte, error) { return AppendBatchResponse(b, &resp) }) && !failed
+	ok = s.writeWire(w, func(b []byte) ([]byte, error) { return AppendBatchResponse(b, &resp) }) &&
+		status < http.StatusInternalServerError
 	if !ok {
 		obs.KeepTrace(ctx, obs.Flag5xx)
 	}
@@ -898,9 +858,6 @@ func (s *Server) errorJSON(ctx context.Context, w http.ResponseWriter, status in
 	s.metrics.HTTPErrors.Add(1)
 	if status >= 500 {
 		obs.KeepTrace(ctx, obs.Flag5xx)
-		if errors.Is(err, context.DeadlineExceeded) {
-			obs.KeepTrace(ctx, obs.FlagDeadline)
-		}
 		if s.tracer != nil {
 			s.tracer.Log(ctx, slog.LevelError, "request failed",
 				"status", status, "error", err.Error())
