@@ -40,6 +40,28 @@ var gridText = func() (t [gridPoints]string) {
 	return t
 }()
 
+// GridValue returns the default grid value whose text in Key is exactly
+// text, without parsing it. The value is exact, because that text is the
+// value's shortest round-trip form; any other text, such as "1.0",
+// "-0" or a digit more or less, reports false.
+func GridValue(text []byte) (float64, bool) {
+	// On the tenths grid the index is the first digit after "0.". The
+	// comparison below keeps any other step correct, only never fast.
+	var k int
+	switch {
+	case len(text) == 1 && (text[0] == '0' || text[0] == '1'):
+		k = int(text[0]-'0') * (gridPoints - 1)
+	case len(text) > 2 && text[0] == '0' && text[1] == '.' && text[2] >= '1' && text[2] <= '9':
+		k = int(text[2] - '0')
+	default:
+		return 0, false
+	}
+	if k >= gridPoints || string(text) != gridText[k] {
+		return 0, false
+	}
+	return float64(k) * DiscretizationStep, true
+}
+
 // appendKey appends the canonical key text: every component's shortest
 // exact float representation, comma-separated.
 func (v Vector) appendKey(b []byte) []byte {

@@ -233,3 +233,32 @@ func TestKeyAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// GridValue knows exactly the default grid's Key texts, and its value is
+// ParseFloat's, bit for bit; any other spelling is left to ParseFloat.
+func TestGridValueMatchesParseFloat(t *testing.T) {
+	texts := []string{
+		"0.3", "0.30000000000000005", "0.30000000000000003", "0.300000000000000044",
+		"1.0", "-0", "1e-1", "0.10", "00", "01", "0.", "0.0", "10", "2", "0.9999999999999999",
+		"-0.1", "0.1e0", "", "0", "1",
+	}
+	for k := 0; k <= 10; k++ {
+		texts = append(texts, strconv.FormatFloat(float64(k)*DiscretizationStep, 'g', -1, 64))
+	}
+	grid := 0
+	for _, text := range texts {
+		got, ok := GridValue([]byte(text))
+		if !ok {
+			continue
+		}
+		grid++
+		want, err := strconv.ParseFloat(text, 64)
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("GridValue(%q) = %v, ParseFloat gives %v (%v)", text, got, want, err)
+		}
+	}
+	// "0", "1" and each of the 11 grid texts.
+	if grid != 13 {
+		t.Fatalf("%d texts took the grid path, want 13", grid)
+	}
+}

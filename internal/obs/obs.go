@@ -509,6 +509,8 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // NewSpan opens a child span without deriving a context — for stages
+// that open no spans of their own (a node's decode and resolve), which
+// StartSpan would charge a context allocation for nothing, and stages
 // whose end is observed by a different goroutine than continues the
 // request (a router's forward, which a hedge may abandon).
 func NewSpan(ctx context.Context, name string) *Span {

@@ -81,19 +81,37 @@ func NewProvStore(max int) *ProvStore {
 	return &ProvStore{max: max, byID: make(map[string][]Provenance)}
 }
 
-// Add retains one record, evicting the oldest trace ids as needed.
-// Records without a trace id are dropped (nothing could query them).
-func (s *ProvStore) Add(p Provenance) {
-	if s == nil || p.TraceID == "" {
+// Add retains records under one lock, evicting the oldest trace ids as
+// needed. Each run of records that share a trace id joins that id's
+// records with one append; a new id keeps the run in recs' own backing
+// array, so the caller must not change recs after the call. Records
+// without a trace id are dropped (nothing could query them).
+func (s *ProvStore) Add(recs ...Provenance) {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.byID[p.TraceID]; !ok {
-		s.order = append(s.order, p.TraceID)
+	for len(recs) > 0 {
+		id, n := recs[0].TraceID, 1
+		for n < len(recs) && recs[n].TraceID == id {
+			n++
+		}
+		if id != "" {
+			s.addLocked(id, recs[:n:n])
+		}
+		recs = recs[n:]
 	}
-	s.byID[p.TraceID] = append(s.byID[p.TraceID], p)
-	s.count++
+}
+
+func (s *ProvStore) addLocked(id string, run []Provenance) {
+	s.count += len(run)
+	if old, ok := s.byID[id]; ok {
+		run = append(old, run...)
+	} else {
+		s.order = append(s.order, id)
+	}
+	s.byID[id] = run
 	for s.count > s.max && len(s.order) > 0 {
 		oldest := s.order[0]
 		s.order = s.order[1:]

@@ -55,6 +55,7 @@ func (o Options) withDefaults() Options {
 // Network is a trained (or trainable) deep predictor.
 type Network struct {
 	opts   Options
+	name   string
 	limits config.Limits
 	layers []*dense
 	ready  bool
@@ -72,6 +73,7 @@ func New(limits config.Limits, opts Options) *Network {
 	in, h, out := feature.NumFeatures, opts.Hidden, config.NumVariables
 	return &Network{
 		opts:   opts,
+		name:   fmt.Sprintf("Deep.%d", opts.Hidden),
 		limits: limits,
 		layers: []*dense{
 			newDense(in, h, rng),
@@ -82,7 +84,8 @@ func New(limits config.Limits, opts Options) *Network {
 }
 
 // Name implements predict.Predictor, matching the paper's Table IV labels.
-func (n *Network) Name() string { return fmt.Sprintf("Deep.%d", n.opts.Hidden) }
+// The serve path asks for it once per answered row, so New builds it once.
+func (n *Network) Name() string { return n.name }
 
 // Hidden returns the hidden-layer width.
 func (n *Network) Hidden() int { return n.opts.Hidden }

@@ -3,6 +3,8 @@ package serve
 import (
 	"encoding/json"
 	"strconv"
+
+	"heteromap/internal/feature"
 )
 
 // The predict wire codec: /v1/predict and /v1/predict/batch decode their
@@ -54,8 +56,8 @@ type wireDecoder struct {
 	// item repeating one shares the copy, as every item of a batch names
 	// the same model.
 	model, bench string
-	// feats collects one features array before it is copied to its
-	// exact size.
+	// feats holds every features array of the body, one after another;
+	// each item's Features is its own stretch of it.
 	feats []float64
 }
 
@@ -206,25 +208,39 @@ func (d *wireDecoder) integer(dst *int64) bool {
 	return true
 }
 
-// features reads an array of numbers into a new slice of its exact
-// length; `[]` gives an empty, non-nil slice, as in json.Unmarshal.
+// features reads an array of numbers onto the end of d.feats and stores
+// that stretch, capped at its length so that appending to one item's
+// features reallocates instead of writing over the next item's; `[]`
+// gives an empty, non-nil slice, as in json.Unmarshal. A literal that
+// spells a default grid value as feature.Vector.Key does skips
+// ParseFloat.
 func (d *wireDecoder) features(dst *[]float64) bool {
-	d.feats = d.feats[:0]
+	if d.feats == nil {
+		// A canonical literal with its comma takes about ten bytes, so
+		// an eighth of the body usually holds every features array of a
+		// batch in one allocation; append grows it when not.
+		d.feats = make([]float64, 0, len(d.b)/8)
+	}
+	start := len(d.feats)
 	ok := d.array(func() bool {
 		lit, ok := d.number()
 		if !ok {
 			return false
 		}
-		// A literal out of float64's range is json.Unmarshal's to reject.
-		f, err := strconv.ParseFloat(string(lit), 64)
-		if err != nil {
-			return false
+		f, ok := feature.GridValue(lit)
+		if !ok {
+			var err error
+			// A literal out of float64's range is json.Unmarshal's to
+			// reject.
+			if f, err = strconv.ParseFloat(string(lit), 64); err != nil {
+				return false
+			}
 		}
 		d.feats = append(d.feats, f)
 		return true
 	})
 	if ok {
-		*dst = append(make([]float64, 0, len(d.feats)), d.feats...)
+		*dst = d.feats[start:len(d.feats):len(d.feats)]
 	}
 	return ok
 }

@@ -89,6 +89,9 @@ func FuzzDecodePredictBody(f *testing.F) {
 		`{"features":[-0,0.30000000000000004,1e400]}`, `{"features":[-0]}`, `{"features":[1e-400,5e-324,1E+2]}`,
 		`{"features":[.5]}`, `{"features":[1.]}`, `{"features":[+1]}`, `{"features":[1e]}`, `{"features":[-]}`,
 		`{"features":[0.1,]}`, `{"features":[0.1 0.2]}`, `{"features":["0.1"]}`,
+		// Grid literals, which skip ParseFloat, and their near misses.
+		`{"features":[0.3,0.30000000000000004,0.30000000000000005,0.7000000000000001,1,1.0,0,-0,1e-1]}`,
+		`{"requests":[{"features":[0.30000000000000004,0.3]},{"features":[0.7000000000000001,1.0,1]},{"features":[-0,0,1e-1]}]}`,
 		// Trailing bytes and truncation.
 		`{"model":"tree"} x`, `{"model":"tree"}{}`, `{"requests":[]}]`, `{"model":"tree"`, `{"requests":[{}`,
 		// Non-ASCII and control bytes in strings.
@@ -138,6 +141,28 @@ func TestDecodeFastPathTakesMarshalOutput(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded value differs or aliases the body:\n got %#v\nwant %#v", got, want)
+		}
+	}
+}
+
+// The decoded items' Features share one array, each capped at its own
+// length: appending to one item's features reallocates it and leaves
+// every other item's values as they were.
+func TestDecodeFeaturesAppendIsolated(t *testing.T) {
+	body := wireBodies(t, 3)[3]
+	got, err := DecodeBatchRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want BatchRequest
+	if err := json.Unmarshal(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	for i := range got.Requests {
+		got.Requests[i].Features = append(got.Requests[i].Features, 0.25, 0.75)
+		want.Requests[i].Features = append(want.Requests[i].Features, 0.25, 0.75)
+		if !reflect.DeepEqual(got.Requests, want.Requests) {
+			t.Fatalf("after appending to item %d:\n got %v\nwant %v", i, got.Requests, want.Requests)
 		}
 	}
 }

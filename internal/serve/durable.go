@@ -146,7 +146,9 @@ func (s *Server) RecoverDurable() ServeDurableStats {
 				st.CacheDropped++
 				continue
 			}
-			s.cache.Put(cacheKeyFor(m, feat), cachedPrediction{M: e.M, Used: e.Used})
+			// The entry serves feat's canonical text, never the
+			// snapshot's own spelling of it.
+			s.cache.Put(cacheKeyFor(m, feat), cachedPrediction{M: e.M, Used: e.Used, Key: feat.Key()})
 			st.CacheRestored++
 		}
 	case err != nil && !os.IsNotExist(err):

@@ -6,8 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"heteromap/internal/config"
@@ -49,7 +52,7 @@ func fillCache(t *testing.T, s *Server, n int) []feature.Vector {
 		f[13] = float64(i%3) / 10
 		feats[i] = f
 		s.cache.Put(cacheKeyFor(model, f), cachedPrediction{
-			M: config.DefaultGPU(limits), Used: "DTree",
+			M: config.DefaultGPU(limits), Used: "DTree", Key: f.Key(),
 		})
 	}
 	return feats
@@ -92,6 +95,62 @@ func TestCacheSnapshotRejectsBadFeatKey(t *testing.T) {
 	}
 	if st.CacheDropped != 1 {
 		t.Fatalf("dropped %d entries, want 1 (the corrupted key)", st.CacheDropped)
+	}
+}
+
+// A snapshot may spell a key's components in any float syntax ParseKey
+// accepts; the restored entry serves the vector's canonical Key text.
+func TestRestoredEntryServesCanonicalKey(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, nil)
+	f := fillCache(t, s, 2)[1]
+	if err := s.SnapshotCache(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, cacheSnapshotFile)
+	recs, err := durable.ReadContainer(path, cacheSnapshotKind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rec := range recs[1:] {
+		var e cacheSnapshotEntry
+		if err := json.Unmarshal(rec, &e); err != nil {
+			t.Fatal(err)
+		}
+		// "0" becomes "0.0" and "0.1" becomes "0.10": the same values.
+		parts := strings.Split(e.FeatKey, ",")
+		for j, p := range parts {
+			if strings.Contains(p, ".") {
+				parts[j] = p + "0"
+			} else {
+				parts[j] = p + ".0"
+			}
+		}
+		e.FeatKey = strings.Join(parts, ",")
+		if recs[i+1], err = json.Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := durable.WriteContainer(path, cacheSnapshotKind, recs, "cache", nil); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := durableServer(t, dir, nil)
+	if st := s2.DurableStats(); st.CacheRestored != 2 {
+		t.Fatalf("restored %d entries, want 2", st.CacheRestored)
+	}
+	body, err := json.Marshal(PredictRequest{Model: "tree", Features: f[:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s2.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	var resp PredictResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Cached || resp.Key != f.Key() {
+		t.Fatalf("restored entry served key %q (cached %v), want %q", resp.Key, resp.Cached, f.Key())
 	}
 }
 
@@ -158,7 +217,7 @@ func TestCacheSnapshotDropsUnknownModels(t *testing.T) {
 	ghost, _ := s.Registry().Get("ghost")
 	var f feature.Vector
 	f[2] = 0.9
-	s.cache.Put(cacheKeyFor(ghost, f), cachedPrediction{M: config.DefaultGPU(pair.Limits()), Used: "DTree"})
+	s.cache.Put(cacheKeyFor(ghost, f), cachedPrediction{M: config.DefaultGPU(pair.Limits()), Used: "DTree", Key: f.Key()})
 	if err := s.SnapshotCache(); err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func (s *Server) pass(ctx context.Context, model *Model, rows []missRow) {
 		}
 		s.probe(ctx, r)
 		if routed == "" {
-			s.cache.Put(cacheKeyFor(model, r.feat), cachedPrediction{M: r.resp.M, Used: r.resp.PredictorUsed})
+			s.cache.Put(cacheKeyFor(model, r.feat), cachedPrediction{M: r.resp.M, Used: r.resp.PredictorUsed, Key: r.resp.Key})
 		}
 	}
 	// A degraded answer or a pass slower than breakerSlowInference is a
@@ -168,7 +168,7 @@ func (s *Server) probe(ctx context.Context, r *missRow) {
 	if !low {
 		return
 	}
-	_, sp := obs.StartSpan(ctx, "probe")
+	sp := obs.NewSpan(ctx, "probe")
 	pm, _ := on.Probe(r.feat)
 	sp.SetAttr("confidence", strconv.FormatFloat(conf, 'g', 3, 64))
 	sp.End()
@@ -192,13 +192,15 @@ func (s *Server) dropExpired(ctx context.Context, r *missRow, err error) {
 	r.status, r.err = http.StatusGatewayTimeout, err
 }
 
-// batchItem is one resolved request item.
+// batchItem is one request item: its model snapshot (nil when it failed
+// to resolve), features and cache key, when its lookup began, and
+// whether the cache answered it.
 type batchItem struct {
-	i     int // position in the request
 	model *Model
 	feat  feature.Vector
 	key   CacheKey
 	start time.Time
+	hit   bool
 
 	row    int  // the item's distinct miss row
 	repeat bool // an earlier item of the request has the same row
@@ -213,15 +215,18 @@ type batchItem struct {
 // HTTP status any item failed with (0 when none did).
 //
 // One resolve span covers resolving and looking up every item: per-item
-// spans would multiply a batch trace's size by its item count.
+// spans would multiply a batch trace's size by its item count. Misses
+// are grouped by their index into items, so no item is copied.
 func (s *Server) predict(ctx context.Context, reqs []PredictRequest) (resps []PredictResponse, status int) {
 	resps = make([]PredictResponse, len(reqs))
 	fail := func(i, st int, err error) {
 		resps[i].Error = err.Error()
 		status = max(status, st)
 	}
-	var hits, misses []batchItem
-	_, sp := obs.StartSpan(ctx, "resolve")
+	items := make([]batchItem, len(reqs))
+	misses := make([]int, 0, len(reqs)) // indices into items
+	hits := 0
+	sp := obs.NewSpan(ctx, "resolve")
 	for i := range reqs {
 		feat, err := ResolveFeatures(&reqs[i], feature.DiscretizationStep)
 		if err != nil {
@@ -233,60 +238,74 @@ func (s *Server) predict(ctx context.Context, reqs []PredictRequest) (resps []Pr
 			fail(i, http.StatusNotFound, err)
 			continue
 		}
-		it := batchItem{i: i, model: model, feat: feat, key: cacheKeyFor(model, feat), start: time.Now()}
-		resp, hit := s.lookup(model, feat, it.key)
+		it := &items[i]
+		it.model, it.feat, it.key, it.start = model, feat, cacheKeyFor(model, feat), time.Now()
+		resps[i], it.hit = s.lookup(model, it.key)
 		s.metrics.CacheLookup.Observe(time.Since(it.start))
-		if hit {
-			resps[i] = resp
-			hits = append(hits, it)
+		if it.hit {
+			hits++
 		} else {
-			misses = append(misses, it)
+			misses = append(misses, i)
 		}
 	}
 	sp.SetAttr("items", strconv.Itoa(len(reqs)))
-	sp.SetAttr("hits", strconv.Itoa(len(hits)))
+	sp.SetAttr("hits", strconv.Itoa(hits))
 	sp.End()
-	for _, it := range hits {
-		s.finish(ctx, it.model, it.feat, &resps[it.i], it.start)
-	}
 
+	done := s.newServed(ctx, len(reqs))
+	for i := range items {
+		if it := &items[i]; it.hit {
+			s.finish(ctx, &done, it.model, it.feat, &resps[i], it.start)
+		}
+	}
+	group := make([]int, 0, len(misses))
 	for len(misses) > 0 {
 		// Split off the misses admitted under the first one's snapshot,
-		// one row per distinct key.
-		m := misses[0].model
-		var rest []batchItem
-		group := make([]batchItem, 0, len(misses))
-		rows := make([]missRow, 0, len(misses))
-		at := make(map[CacheKey]int, len(misses))
-		for _, it := range misses {
-			if it.model != m {
-				rest = append(rest, it)
-				continue
+		// keeping the rest in order for a later pass.
+		m := items[misses[0]].model
+		group = group[:0]
+		rest := misses[:0]
+		for _, i := range misses {
+			if items[i].model == m {
+				group = append(group, i)
+			} else {
+				rest = append(rest, i)
 			}
-			if it.row, it.repeat = at[it.key]; !it.repeat {
-				it.row = len(rows)
-				at[it.key] = it.row
-				rows = append(rows, missRow{feat: it.feat})
-			}
-			group = append(group, it)
 		}
 		misses = rest
+		// One row per distinct key; a lone miss needs no map to find it.
+		rows := make([]missRow, 0, len(group))
+		var at map[CacheKey]int
+		if len(group) > 1 {
+			at = make(map[CacheKey]int, len(group))
+		}
+		for _, i := range group {
+			it := &items[i]
+			if it.row, it.repeat = at[it.key]; !it.repeat {
+				it.row = len(rows)
+				if at != nil {
+					at[it.key] = it.row
+				}
+				rows = append(rows, missRow{feat: it.feat})
+			}
+		}
 		s.answerMisses(ctx, m, rows)
-		for _, it := range group {
+		for _, i := range group {
+			it := &items[i]
 			r := &rows[it.row]
 			if r.err != nil {
-				fail(it.i, r.status, r.err)
+				fail(i, r.status, r.err)
 				continue
 			}
-			resp := r.resp
+			resps[i] = r.resp
 			if it.repeat {
 				s.metrics.BatchItems.Add(1)
-				resp.Cached = true
+				resps[i].Cached = true
 			}
-			s.finish(ctx, r.by, it.feat, &resp, it.start)
-			resps[it.i] = resp
+			s.finish(ctx, &done, r.by, it.feat, &resps[i], it.start)
 		}
 	}
+	s.finishRequest(&done)
 	return resps, status
 }
 

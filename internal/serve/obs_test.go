@@ -370,8 +370,9 @@ func TestExplainNNMarginMatchesAnsweringVersion(t *testing.T) {
 		}
 		return rec.Header().Get(obs.TraceHeader)
 	}
-	// check requires one record per feature, in serve order, each from
-	// wantVersion with the given cached flag and a bit-exact margin.
+	// check requires one record per feature, in serve order and sharing
+	// the request's one When, each from wantVersion with the given
+	// cached flag and a bit-exact margin.
 	check := func(what, traceID string, feats []feature.Vector, cached []bool, wantVersion uint64) {
 		t.Helper()
 		recs := explainRecords(t, h, traceID)
@@ -379,6 +380,9 @@ func TestExplainNNMarginMatchesAnsweringVersion(t *testing.T) {
 			t.Fatalf("%s: %d records, want %d", what, len(recs), len(feats))
 		}
 		for i, p := range recs {
+			if !p.When.Equal(recs[0].When) {
+				t.Fatalf("%s record %d: when %v, record 0 %v", what, i, p.When, recs[0].When)
+			}
 			if p.Version != wantVersion || p.Cached != cached[i] {
 				t.Fatalf("%s record %d: v%d cached=%v, want v%d cached=%v",
 					what, i, p.Version, p.Cached, wantVersion, cached[i])

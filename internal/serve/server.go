@@ -371,10 +371,10 @@ func (s *Server) model(ctx context.Context, name string) (*Model, error) {
 	return m, nil
 }
 
-// lookup is the predict path's one cache read. It is allocation-free,
-// so a warm request's serve cost is one shard lock; a miss is counted
-// here and goes on to the miss path.
-func (s *Server) lookup(model *Model, feat feature.Vector, key CacheKey) (PredictResponse, bool) {
+// lookup is the predict path's one cache read. It is allocation-free —
+// the entry carries the key text — so a warm request's serve cost is one
+// shard lock; a miss is counted here and goes on to the miss path.
+func (s *Server) lookup(model *Model, key CacheKey) (PredictResponse, bool) {
 	val, hit := s.cache.Get(key)
 	if !hit {
 		return PredictResponse{}, false
@@ -382,11 +382,32 @@ func (s *Server) lookup(model *Model, feat feature.Vector, key CacheKey) (Predic
 	return PredictResponse{
 		Model:         model.Name,
 		Version:       model.Version,
-		Key:           feat.Key(),
+		Key:           val.Key,
 		PredictorUsed: val.Used,
 		Cached:        true,
 		M:             val.M,
 	}, true
+}
+
+// served is what finishing a request's items leaves for the end of the
+// request: the items' provenance records, in the order they finished,
+// and the latency of the last item finished, not yet observed.
+type served struct {
+	traceID string
+	// prov is nil for an untraced request, and otherwise sized for every
+	// item of the request, so finish never grows it.
+	prov    []obs.Provenance
+	latency time.Duration
+	pending bool // latency awaits its observation
+}
+
+// newServed starts the finishing state of a request of n items.
+func (s *Server) newServed(ctx context.Context, n int) served {
+	done := served{traceID: obs.TraceID(ctx)}
+	if s.tracer != nil && done.traceID != "" {
+		done.prov = make([]obs.Provenance, 0, n)
+	}
+	return done
 }
 
 // finish stamps a served answer and runs the post-serve hooks every
@@ -395,10 +416,14 @@ func (s *Server) lookup(model *Model, feat feature.Vector, key CacheKey) (Predic
 // are indistinguishable to callers apart from the cached flag; the
 // differential fastpath suite in internal/conformance enforces that.
 // by is the snapshot that gave the answer. The answer is final: finish
-// writes nothing back to the cache or to a miss row.
-func (s *Server) finish(ctx context.Context, by *Model, feat feature.Vector, resp *PredictResponse, start time.Time) {
-	resp.TraceID = obs.TraceID(ctx)
-	s.metrics.RequestLatency.ObserveTraced(time.Since(start), resp.TraceID)
+// writes nothing back to the cache or to a miss row. The item's latency
+// and provenance record wait in done for finishRequest.
+func (s *Server) finish(ctx context.Context, done *served, by *Model, feat feature.Vector, resp *PredictResponse, start time.Time) {
+	resp.TraceID = done.traceID
+	if done.pending {
+		s.metrics.RequestLatency.Observe(done.latency)
+	}
+	done.latency, done.pending = time.Since(start), true
 	if on := s.opts.Online; on != nil {
 		on.Observe(online.Sample{
 			Key:       resp.Key,
@@ -411,7 +436,27 @@ func (s *Server) finish(ctx context.Context, by *Model, feat feature.Vector, res
 		})
 	}
 	s.noteResilience(ctx, resp)
-	s.recordProvenance(by, feat, resp)
+	if done.prov != nil {
+		done.prov = append(done.prov, provenance(by, feat, resp))
+	}
+}
+
+// finishRequest ends a request. It observes the last finished item's
+// latency with the trace, so the histogram keeps the exemplar it would
+// if every item were observed with it, for one allocation instead of
+// one per item. It stores the provenance records, which share one When,
+// with one Add.
+func (s *Server) finishRequest(done *served) {
+	if done.pending {
+		s.metrics.RequestLatency.ObserveTraced(done.latency, done.traceID)
+	}
+	if len(done.prov) > 0 {
+		when := time.Now()
+		for i := range done.prov {
+			done.prov[i].When = when
+		}
+		s.tracer.Prov().Add(done.prov...)
+	}
 }
 
 // PredictCached answers one already-resolved characterization from the
@@ -475,15 +520,13 @@ func (s *Server) noteResilience(ctx context.Context, resp *PredictResponse) {
 	}
 }
 
-// recordProvenance stores the decision record served from
+// provenance is the decision record served from
 // /v1/explain/{trace-id}: the exact knobs returned plus the link of by,
 // the snapshot that answered, and the features it saw, from which the
 // store derives the tree path or NN margin when the record is read.
-func (s *Server) recordProvenance(by *Model, feat feature.Vector, resp *PredictResponse) {
-	if s.tracer == nil || resp.TraceID == "" {
-		return
-	}
-	s.tracer.Prov().Add(obs.Provenance{
+// finishRequest stamps its When.
+func provenance(by *Model, feat feature.Vector, resp *PredictResponse) obs.Provenance {
+	return obs.Provenance{
 		TraceID:       resp.TraceID,
 		Model:         resp.Model,
 		Version:       resp.Version,
@@ -491,10 +534,9 @@ func (s *Server) recordProvenance(by *Model, feat feature.Vector, resp *PredictR
 		M:             resp.M,
 		Cached:        resp.Cached,
 		Events:        append(append([]string{}, resp.Fallbacks...), resp.Resilience...),
-		When:          time.Now(),
 		Link:          by.Link(resp.PredictorUsed),
 		Features:      feat,
-	})
+	}
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
@@ -510,7 +552,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		w.Header().Set(obs.TraceHeader, tr.ID())
 	}
-	_, sp := obs.StartSpan(ctx, "decode")
+	sp := obs.NewSpan(ctx, "decode")
 	reqs := make([]PredictRequest, 1)
 	if status, err := s.decodeBody(w, r, func(body []byte) (err error) {
 		reqs[0], err = DecodePredictRequest(body)
@@ -607,7 +649,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		w.Header().Set(obs.TraceHeader, tr.ID())
 	}
-	_, sp := obs.StartSpan(tctx, "decode")
+	sp := obs.NewSpan(tctx, "decode")
 	var req BatchRequest
 	if status, err := s.decodeBody(w, r, func(body []byte) (err error) {
 		req, err = DecodeBatchRequest(body)
