@@ -238,6 +238,58 @@ func TestSnappedIdempotent(t *testing.T) {
 	}
 }
 
+// refSnapped is Snapped as it was before Grid: every call builds the
+// level lists afresh.
+func refSnapped(m M, l Limits) M {
+	l = l.withDefaults()
+	m = m.Clamp(l)
+	var buf [8]int
+	m.Cores = snapTo(m.Cores, appendLevels(buf[:0], l.MaxCores, 6))
+	m.ThreadsPerCore = snapTo(m.ThreadsPerCore, appendLevels(buf[:0], l.MaxThreadsPerCore, 3))
+	m.SIMDWidth = snapTo(m.SIMDWidth, appendLevels(buf[:0], l.MaxSIMD, 2))
+	m.GlobalThreads = snapTo(m.GlobalThreads, appendLevels(buf[:0], l.MaxGlobalThreads, 8))
+	m.LocalThreads = snapTo(m.LocalThreads, appendLevels(buf[:0], l.MaxLocalThreads, 6))
+	m.BlocktimeMS = snapTo(m.BlocktimeMS, append(buf[:0], 1, 200, l.MaxBlocktimeMS))
+	m.ChunkSize = snapTo(m.ChunkSize, append(buf[:0], 1, 64, 512, l.MaxChunk))
+	return m
+}
+
+// A Grid built once snaps as Snapped did when it built the levels on
+// every call: for decodes of random raw outputs (inside and outside
+// [0, 1]) and for every M of the coarse grid, under four sets of
+// limits, the last collapsing every level list to one level.
+func TestGridSnapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, l := range []Limits{
+		testLimits(),
+		{MaxCores: 4, MaxThreadsPerCore: 2, MaxSIMD: 8, MaxGlobalThreads: 2048, MaxLocalThreads: 1024},
+		{MaxCores: 61, MaxThreadsPerCore: 4, MaxSIMD: 16, MaxGlobalThreads: 8192, MaxLocalThreads: 256,
+			MaxBlocktimeMS: 500, MaxChunk: 1000},
+		{MaxCores: 1, MaxThreadsPerCore: 1, MaxSIMD: 1, MaxGlobalThreads: 1, MaxLocalThreads: 1},
+	} {
+		g := NewGrid(l)
+		check := func(m M) {
+			t.Helper()
+			if got, want := g.Snap(m), refSnapped(m, l); got != want {
+				t.Fatalf("limits %+v: Grid.Snap(%+v) = %+v, reference %+v", l, m, got, want)
+			}
+			if got, want := m.Snapped(l), refSnapped(m, l); got != want {
+				t.Fatalf("limits %+v: Snapped(%+v) = %+v, reference %+v", l, m, got, want)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			var v [NumVariables]float64
+			for j := range v {
+				v[j] = 1.4*rng.Float64() - 0.2
+			}
+			check(FromNormalized(v, l))
+		}
+		for _, m := range Enumerate(l) {
+			check(m)
+		}
+	}
+}
+
 func TestSnappedLandsOnGridLevels(t *testing.T) {
 	l := testLimits()
 	m := M{Accelerator: Multicore, Cores: 30, ThreadsPerCore: 3, SIMDWidth: 9,

@@ -162,18 +162,60 @@ func EnumerateFor(a Accel, l Limits) []M {
 // the coarse sweep grids. Learners are trained on grid-optimal targets,
 // so snapping is their natural decode step: it removes the
 // regression-to-the-mean error on thread counts that would otherwise
-// deploy configurations no tuner ever evaluated.
+// deploy configurations no tuner ever evaluated. It builds l's Grid on
+// every call; a predictor that decodes often keeps one.
 func (m M) Snapped(l Limits) M {
+	g := NewGrid(l)
+	return g.Snap(m)
+}
+
+// Grid is the coarse sweep grids' levels of each integer knob under one
+// Limits, built once so that a decode snaps without recomputing them.
+type Grid struct {
+	limits Limits
+
+	cores, threads, simd, global, local, blocktime, chunk gridLevels
+}
+
+// gridLevels is one knob's levels, in ascending order.
+type gridLevels struct {
+	v [8]int
+	n int
+}
+
+func newGridLevels(v []int) gridLevels {
+	var g gridLevels
+	g.n = copy(g.v[:], v)
+	return g
+}
+
+// NewGrid builds l's grid levels: the levels EnumerateGPU and
+// EnumerateMulticore sweep, and the blocktime and chunk-size anchors.
+func NewGrid(l Limits) Grid {
 	l = l.withDefaults()
-	m = m.Clamp(l)
 	var buf [8]int
-	m.Cores = snapTo(m.Cores, appendLevels(buf[:0], l.MaxCores, 6))
-	m.ThreadsPerCore = snapTo(m.ThreadsPerCore, appendLevels(buf[:0], l.MaxThreadsPerCore, 3))
-	m.SIMDWidth = snapTo(m.SIMDWidth, appendLevels(buf[:0], l.MaxSIMD, 2))
-	m.GlobalThreads = snapTo(m.GlobalThreads, appendLevels(buf[:0], l.MaxGlobalThreads, 8))
-	m.LocalThreads = snapTo(m.LocalThreads, appendLevels(buf[:0], l.MaxLocalThreads, 6))
-	m.BlocktimeMS = snapTo(m.BlocktimeMS, append(buf[:0], 1, 200, l.MaxBlocktimeMS))
-	m.ChunkSize = snapTo(m.ChunkSize, append(buf[:0], 1, 64, 512, l.MaxChunk))
+	return Grid{
+		limits:    l,
+		cores:     newGridLevels(appendLevels(buf[:0], l.MaxCores, 6)),
+		threads:   newGridLevels(appendLevels(buf[:0], l.MaxThreadsPerCore, 3)),
+		simd:      newGridLevels(appendLevels(buf[:0], l.MaxSIMD, 2)),
+		global:    newGridLevels(appendLevels(buf[:0], l.MaxGlobalThreads, 8)),
+		local:     newGridLevels(appendLevels(buf[:0], l.MaxLocalThreads, 6)),
+		blocktime: newGridLevels(append(buf[:0], 1, 200, l.MaxBlocktimeMS)),
+		chunk:     newGridLevels(append(buf[:0], 1, 64, 512, l.MaxChunk)),
+	}
+}
+
+// Snap is m.Snapped(l) for the Limits g was built from.
+func (g *Grid) Snap(m M) M {
+	m = m.Clamp(g.limits)
+	m.Cores = snapTo(m.Cores, g.cores.v[:g.cores.n])
+	m.ThreadsPerCore = snapTo(m.ThreadsPerCore, g.threads.v[:g.threads.n])
+	m.SIMDWidth = snapTo(m.SIMDWidth, g.simd.v[:g.simd.n])
+	m.GlobalThreads = snapTo(m.GlobalThreads, g.global.v[:g.global.n])
+	m.LocalThreads = snapTo(m.LocalThreads, g.local.v[:g.local.n])
+	m.BlocktimeMS = snapTo(m.BlocktimeMS, g.blocktime.v[:g.blocktime.n])
+	m.ChunkSize = snapTo(m.ChunkSize, g.chunk.v[:g.chunk.n])
 	return m
 }
 

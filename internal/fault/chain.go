@@ -78,7 +78,7 @@ func (c *Chain) SelectCtx(ctx context.Context, f feature.Vector) Selection {
 		if p == nil {
 			continue
 		}
-		_, sp := obs.StartSpan(ctx, "consult:"+p.Name())
+		sp := consultSpan(ctx, p.Name())
 		m, err := tryPredict(p, f)
 		if err == nil {
 			err = m.Validate(c.Limits)
@@ -91,9 +91,19 @@ func (c *Chain) SelectCtx(ctx context.Context, f feature.Vector) Selection {
 		sp.End()
 		return Selection{M: m.Clamp(c.Limits), Used: p.Name(), Fallbacks: events}
 	}
-	_, sp := obs.StartSpan(ctx, "consult:"+c.DefaultLabel)
-	sp.End()
+	consultSpan(ctx, c.DefaultLabel).End()
 	return Selection{M: c.Default.Clamp(c.Limits), Used: c.DefaultLabel, Fallbacks: events}
+}
+
+// consultSpan opens the span of one consult, "consult:" and the link's
+// label, under the span ctx carries. The name is built only when ctx is
+// traced, and no context is derived: a consult opens no spans of its
+// own.
+func consultSpan(ctx context.Context, label string) *obs.Span {
+	if obs.TraceFromContext(ctx) == nil {
+		return nil
+	}
+	return obs.NewSpan(ctx, "consult:"+label)
 }
 
 // SelectBatchCtx consults the chain for many rows at once, filling
@@ -116,7 +126,7 @@ func (c *Chain) SelectBatchCtx(ctx context.Context, feats []feature.Vector, dst 
 		}
 	}
 	if bp, ok := primary.(predict.BatchPredictor); ok && len(feats) > 1 {
-		_, sp := obs.StartSpan(ctx, "consult:"+primary.Name())
+		sp := consultSpan(ctx, primary.Name())
 		ms := make([]config.M, len(feats))
 		err := tryPredictBatch(bp, feats, ms)
 		if err == nil {

@@ -109,7 +109,7 @@ func TestPredictBatchDetectsNaNWeights(t *testing.T) {
 	n, _ := batchNet(t, 8)
 	last := n.layers[len(n.layers)-1]
 	last.w[0] = math.NaN()
-	last.transpose()
+	last.transpose(0, last.out)
 	feats := batchFeats(4, 2)
 	if err := n.PredictBatchChecked(feats, make([]config.M, 4)); err == nil {
 		t.Fatal("NaN-poisoned network answered a batch")

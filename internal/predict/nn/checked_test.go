@@ -62,7 +62,7 @@ func TestPredictCheckedDetectsNaNWeights(t *testing.T) {
 	// Poison one output-layer weight, simulating a diverged training run.
 	last := n.layers[len(n.layers)-1]
 	last.w[0] = math.NaN()
-	last.transpose()
+	last.transpose(0, last.out)
 	if _, err := n.PredictChecked(feature.Vector{}); err == nil {
 		t.Fatal("NaN-poisoned network passed PredictChecked")
 	}

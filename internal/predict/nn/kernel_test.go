@@ -68,7 +68,7 @@ func randomNet(hidden int, rng *rand.Rand) *Network {
 		for i := range l.b {
 			l.b[i] = rng.NormFloat64()
 		}
-		l.transpose()
+		l.transpose(0, l.out)
 	}
 	n.ready = true
 	return n
@@ -321,11 +321,14 @@ func refSamples(n int, seed int64) []predict.Sample {
 }
 
 // Train must be the per-sample trainer bit for bit: every weight, bias,
-// gradient, Adam moment and Adam step count, at GOMAXPROCS 1, 2 and 4.
-// The cases cover the Table IV extremes and a width that is not a
-// multiple of four (tail loops), 300 samples (a short last batch of 12),
-// fewer samples than one batch, one-row batches, and Deep.128 on the
-// FastConfig database that serve -predictor deep trains on.
+// gradient, Adam moment and Adam step count, at GOMAXPROCS 1, 2 and 4,
+// and on three workers whatever the host's CPUs. The cases cover the
+// Table IV extremes and a width that is not a multiple of four (tail
+// loops), 300 samples (a short last batch of 12), fewer samples than one
+// batch, one-row batches, 400 steps (past step 356, where Adam's m/c1
+// becomes m), full batches of 24 (no power of two, so g/batch stays a
+// division), an odd last batch (a row without a pair), and Deep.128 on
+// the FastConfig database that serve -predictor deep trains on.
 func TestTrainMatchesReference(t *testing.T) {
 	pair := machine.PrimaryPair()
 	cases := []struct {
@@ -338,6 +341,9 @@ func TestTrainMatchesReference(t *testing.T) {
 		{"hidden=13", Options{Hidden: 13, Epochs: 3, Seed: 7}, refSamples(300, 3)},
 		{"samples=5", Options{Hidden: 16, Epochs: 4, Seed: 8}, refSamples(5, 4)},
 		{"batch=1", Options{Hidden: 13, Epochs: 2, BatchSize: 1, Seed: 9}, refSamples(40, 5)},
+		{"steps=400", Options{Hidden: 13, Epochs: 40, BatchSize: 8, Seed: 10}, refSamples(80, 6)},
+		{"batch=24", Options{Hidden: 16, Epochs: 3, BatchSize: 24, Seed: 11}, refSamples(300, 7)},
+		{"last=13", Options{Hidden: 13, Epochs: 3, BatchSize: 16, Seed: 12}, refSamples(301, 8)},
 		{"fastconfig", Options{Hidden: 128, Epochs: 3}, train.BuildDatabase(pair, train.FastConfig()).Samples},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -354,6 +360,11 @@ func TestTrainMatchesReference(t *testing.T) {
 				if err := sameParams(got, want); err != nil {
 					t.Fatalf("%s at GOMAXPROCS %d: Train differs from the reference: %v", c.name, procs, err)
 				}
+			}
+			got := New(pair.Limits(), c.opts)
+			got.train(c.samples, 3)
+			if err := sameParams(got, want); err != nil {
+				t.Fatalf("%s on 3 workers: train differs from the reference: %v", c.name, err)
 			}
 		})
 	}

@@ -4,8 +4,9 @@ import "math"
 
 // The network's dense kernels. Every multiply-add it does — the forward
 // pass of inference and training, backprop and the weight gradients —
-// runs in one kernel, mulAdd; Adam's step, ReLU and backprop's dead-unit
-// mask are the other three. Each kernel computes independent sums and
+// runs in one kernel, mulAdd, or in mulAdd2, its form for two rows that
+// share their weights; Adam's step, ReLU and backprop's dead-unit mask
+// are the other three. Each kernel computes independent sums and
 // keeps each sum's start value, operand order and addition order, so
 // sums may advance together, one per lane, without changing a bit. On
 // amd64 CPUs with AVX, kernels_amd64.s runs four lanes per instruction
@@ -70,15 +71,53 @@ func mulAddGo(dst, base, src []float64, off []int, g []float64) {
 
 // adamGo is one Adam step over a run of parameters p, with gradient sums
 // g over a batch of the given size, moments m and v, and bias
-// corrections c1 and c2.
+// corrections c1 and c2: gi = g/batch, m = β1·m + (1−β1)·gi,
+// v = β2·v + (1−β2)·gi·gi and p −= lr·(m/c1) / (√(v/c2) + ε). It takes
+// the shortcuts adamForms allows, which change no bit.
 func adamGo(p, g, m, v []float64, lr, batch, c1, c2 float64) {
 	g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
+	scale, forms := adamForms(batch, c1)
+	mulBatch, divC1 := forms&adamMulBatch != 0, forms&adamNoC1 == 0
 	for i := range p {
-		gi := g[i] / batch
+		var gi float64
+		if mulBatch {
+			gi = g[i] * scale
+		} else {
+			gi = g[i] / scale
+		}
 		m[i] = adamBeta1*m[i] + (1-adamBeta1)*gi
 		v[i] = adamBeta2*v[i] + (1-adamBeta2)*gi*gi
-		p[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + adamEps)
+		mc := m[i]
+		if divC1 {
+			mc /= c1
+		}
+		p[i] -= lr * mc / (math.Sqrt(v[i]/c2) + adamEps)
 	}
+}
+
+// The shortcuts of an Adam step, as flags. Each drops a division whose
+// quotient another operation gives bit for bit.
+const (
+	// adamMulBatch: gi = g·(1/batch). When batch is a power of two, its
+	// reciprocal is exact, so the product and the quotient are the
+	// same real number, rounded once.
+	adamMulBatch = 1 << iota
+	// adamNoC1: m/c1 = m, since c1 = 1 − β1^t has rounded to 1.0
+	// (from t = 356 on).
+	adamNoC1
+)
+
+// adamForms returns the divisor or multiplier of the gradient sums and
+// the shortcuts an Adam step with this batch size and c1 may take.
+func adamForms(batch, c1 float64) (scale float64, forms int) {
+	scale = batch
+	if frac, _ := math.Frexp(batch); frac == 0.5 {
+		scale, forms = 1/batch, adamMulBatch
+	}
+	if c1 == 1 {
+		forms |= adamNoC1
+	}
+	return scale, forms
 }
 
 // applyReLUGo sets each x[i] to x[i] > 0 ? x[i] : +0, so NaN and −0

@@ -46,13 +46,39 @@ func mulAdd(dst, base, src []float64, off []int, g []float64) {
 	mulAddGo(dst[n:], base, src[n:], off, g)
 }
 
+// mulAdd2 is mulAdd for two rows whose sums share base, src and off:
+// dst0 takes the terms g0 and dst1 the terms g1. On packed AVX lanes,
+// for the first len(dst0)&^3 sums when useAVX is set, each src run is
+// loaded once for both rows; the Go kernels run it as two mulAddGo
+// calls.
+func mulAdd2(dst0, dst1, base, src []float64, off []int, g0, g1 []float64) {
+	dst1 = dst1[:len(dst0)]
+	n := packedLen(len(dst0))
+	if n > 0 {
+		g0, g1 = g0[:len(off)], g1[:len(off)]
+		if len(base) > 0 {
+			base = base[:len(dst0)]
+		}
+		for _, o := range off {
+			_ = src[o : o+n : len(src)] // each term's run lies inside src
+		}
+		mulAdd2AVX(dst0[:n], dst1[:n], base, src, off, g0, g1)
+		if len(base) > 0 {
+			base = base[n:]
+		}
+	}
+	mulAddGo(dst0[n:], base, src[n:], off, g0)
+	mulAddGo(dst1[n:], base, src[n:], off, g1)
+}
+
 // adam is adamGo, on packed AVX lanes for the first len(p)&^3
 // parameters when useAVX is set.
 func adam(p, g, m, v []float64, lr, batch, c1, c2 float64) {
 	n := packedLen(len(p))
 	if n > 0 {
 		g, m, v = g[:len(p)], m[:len(p)], v[:len(p)]
-		adamAVX(p[:n], g, m, v, lr, batch, c1, c2, adamBeta1, 1-adamBeta1, adamBeta2, 1-adamBeta2, adamEps)
+		scale, forms := adamForms(batch, c1)
+		adamAVX(p[:n], g, m, v, lr, scale, c1, c2, adamBeta1, 1-adamBeta1, adamBeta2, 1-adamBeta2, adamEps, forms)
 		g, m, v = g[n:], m[n:], v[n:]
 	}
 	adamGo(p[n:], g, m, v, lr, batch, c1, c2)
@@ -86,11 +112,15 @@ func maskDead(x, act []float64) {
 //go:noescape
 func mulAddAVX(dst, base, src []float64, off []int, g []float64)
 
+//go:noescape
+func mulAdd2AVX(dst0, dst1, base, src []float64, off []int, g0, g1 []float64)
+
 // adamAVX receives Go's constant values of 1-adamBeta1 and 1-adamBeta2:
-// the same differences taken in float64 round differently.
+// the same differences taken in float64 round differently. scale and
+// forms are adamForms' results.
 //
 //go:noescape
-func adamAVX(p, g, m, v []float64, lr, batch, c1, c2, beta1, oneMinusBeta1, beta2, oneMinusBeta2, eps float64)
+func adamAVX(p, g, m, v []float64, lr, scale, c1, c2, beta1, oneMinusBeta1, beta2, oneMinusBeta2, eps float64, forms int)
 
 //go:noescape
 func applyReLUAVX(x []float64)

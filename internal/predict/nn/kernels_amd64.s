@@ -105,18 +105,154 @@ done:
 	VZEROUPPER
 	RET
 
-// func adamAVX(p, g, m, v []float64, lr, batch, c1, c2, beta1, oneMinusBeta1, beta2, oneMinusBeta2, eps float64)
+// func mulAdd2AVX(dst0, dst1, base, src []float64, off []int, g0, g1 []float64)
 //
-// adamGo's expressions in its order of operations. VDIVPD and VSQRTPD
-// round correctly, as Go's / and math.Sqrt do.
-TEXT ·adamAVX(SB), NOSPLIT, $0-168
+// mulAddAVX for two rows: dst0[k] and dst1[k] each start from base[k]
+// (or +0) and add their own terms g0[j]·src[off[j]+k] and
+// g1[j]·src[off[j]+k] in ascending j. Each src run is loaded once for
+// both rows. Sixteen sums of each row advance together in eight
+// accumulators, Y0–Y3 for dst0 and Y4–Y7 for dst1, while at least
+// sixteen remain, then four of each.
+TEXT ·mulAdd2AVX(SB), NOSPLIT, $0-168
+	MOVQ dst0_base+0(FP), DI
+	MOVQ dst0_len+8(FP), R10
+	MOVQ dst1_base+24(FP), R14
+	MOVQ base_base+48(FP), R8
+	MOVQ base_len+56(FP), R13
+	MOVQ src_base+72(FP), SI
+	MOVQ off_base+96(FP), BX
+	MOVQ off_len+104(FP), CX
+	MOVQ g0_base+120(FP), DX
+	MOVQ g1_base+144(FP), R15
+	XORQ R9, R9 // byte offset of the current block in dst0, dst1, base and each term's src run
+
+pair16:
+	CMPQ R10, $16
+	JLT  pair4
+	TESTQ R13, R13
+	JZ   pairZero16
+	VMOVUPD (R8)(R9*1), Y0
+	VMOVUPD 32(R8)(R9*1), Y1
+	VMOVUPD 64(R8)(R9*1), Y2
+	VMOVUPD 96(R8)(R9*1), Y3
+	VMOVAPD Y0, Y4
+	VMOVAPD Y1, Y5
+	VMOVAPD Y2, Y6
+	VMOVAPD Y3, Y7
+	JMP  pairTerms16
+
+pairZero16:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+pairTerms16:
+	XORQ R11, R11
+
+pairLoop16:
+	CMPQ R11, CX
+	JGE  pairStore16
+	MOVQ (BX)(R11*8), R12
+	LEAQ (SI)(R12*8), R12
+	VBROADCASTSD (DX)(R11*8), Y14
+	VBROADCASTSD (R15)(R11*8), Y15
+	VMOVUPD (R12)(R9*1), Y8
+	VMULPD  Y8, Y14, Y12
+	VADDPD  Y12, Y0, Y0
+	VMULPD  Y8, Y15, Y13
+	VADDPD  Y13, Y4, Y4
+	VMOVUPD 32(R12)(R9*1), Y9
+	VMULPD  Y9, Y14, Y12
+	VADDPD  Y12, Y1, Y1
+	VMULPD  Y9, Y15, Y13
+	VADDPD  Y13, Y5, Y5
+	VMOVUPD 64(R12)(R9*1), Y10
+	VMULPD  Y10, Y14, Y12
+	VADDPD  Y12, Y2, Y2
+	VMULPD  Y10, Y15, Y13
+	VADDPD  Y13, Y6, Y6
+	VMOVUPD 96(R12)(R9*1), Y11
+	VMULPD  Y11, Y14, Y12
+	VADDPD  Y12, Y3, Y3
+	VMULPD  Y11, Y15, Y13
+	VADDPD  Y13, Y7, Y7
+	INCQ R11
+	JMP  pairLoop16
+
+pairStore16:
+	VMOVUPD Y0, (DI)(R9*1)
+	VMOVUPD Y1, 32(DI)(R9*1)
+	VMOVUPD Y2, 64(DI)(R9*1)
+	VMOVUPD Y3, 96(DI)(R9*1)
+	VMOVUPD Y4, (R14)(R9*1)
+	VMOVUPD Y5, 32(R14)(R9*1)
+	VMOVUPD Y6, 64(R14)(R9*1)
+	VMOVUPD Y7, 96(R14)(R9*1)
+	ADDQ $128, R9
+	SUBQ $16, R10
+	JMP  pair16
+
+pair4:
+	CMPQ R10, $4
+	JLT  pairDone
+	TESTQ R13, R13
+	JZ   pairZero4
+	VMOVUPD (R8)(R9*1), Y0
+	VMOVAPD Y0, Y4
+	JMP  pairTerms4
+
+pairZero4:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y4, Y4, Y4
+
+pairTerms4:
+	XORQ R11, R11
+
+pairLoop4:
+	CMPQ R11, CX
+	JGE  pairStore4
+	MOVQ (BX)(R11*8), R12
+	LEAQ (SI)(R12*8), R12
+	VBROADCASTSD (DX)(R11*8), Y14
+	VBROADCASTSD (R15)(R11*8), Y15
+	VMOVUPD (R12)(R9*1), Y8
+	VMULPD  Y8, Y14, Y12
+	VADDPD  Y12, Y0, Y0
+	VMULPD  Y8, Y15, Y13
+	VADDPD  Y13, Y4, Y4
+	INCQ R11
+	JMP  pairLoop4
+
+pairStore4:
+	VMOVUPD Y0, (DI)(R9*1)
+	VMOVUPD Y4, (R14)(R9*1)
+	ADDQ $32, R9
+	SUBQ $4, R10
+	JMP  pair4
+
+pairDone:
+	VZEROUPPER
+	RET
+
+// func adamAVX(p, g, m, v []float64, lr, scale, c1, c2, beta1, oneMinusBeta1, beta2, oneMinusBeta2, eps float64, forms int)
+//
+// adamGo's expressions in its order of operations, with the shortcuts
+// forms names: gi is g·scale under adamMulBatch (bit 0) and g/scale
+// otherwise, and adamNoC1 (bit 1) skips the division by c1. VDIVPD and
+// VSQRTPD round correctly, as Go's / and math.Sqrt do.
+TEXT ·adamAVX(SB), NOSPLIT, $0-176
 	MOVQ p_base+0(FP), DI
 	MOVQ p_len+8(FP), CX
 	MOVQ g_base+24(FP), SI
 	MOVQ m_base+48(FP), R8
 	MOVQ v_base+72(FP), R9
 	VBROADCASTSD lr+96(FP), Y8
-	VBROADCASTSD batch+104(FP), Y9
+	VBROADCASTSD scale+104(FP), Y9
 	VBROADCASTSD c1+112(FP), Y10
 	VBROADCASTSD c2+120(FP), Y11
 	VBROADCASTSD beta1+128(FP), Y12
@@ -124,13 +260,22 @@ TEXT ·adamAVX(SB), NOSPLIT, $0-168
 	VBROADCASTSD beta2+144(FP), Y14
 	VBROADCASTSD oneMinusBeta2+152(FP), Y15
 	VBROADCASTSD eps+160(FP), Y7
+	MOVQ forms+168(FP), R10
 	XORQ AX, AX
 
 adamLoop:
 	CMPQ AX, CX
 	JGE  adamDone
 	VMOVUPD (SI)(AX*8), Y0
+	BTQ     $0, R10
+	JCS     adamMulG
 	VDIVPD  Y9, Y0, Y0         // gi = g/batch
+	JMP     adamMoments
+
+adamMulG:
+	VMULPD  Y9, Y0, Y0         // gi = g·(1/batch)
+
+adamMoments:
 	VMULPD  (R8)(AX*8), Y12, Y1 // beta1·m
 	VMULPD  Y0, Y13, Y2        // (1-beta1)·gi
 	VADDPD  Y2, Y1, Y1         // m
@@ -140,7 +285,11 @@ adamLoop:
 	VMULPD  Y0, Y3, Y3         // ·gi
 	VADDPD  Y3, Y2, Y2         // v
 	VMOVUPD Y2, (R9)(AX*8)
+	BTQ     $1, R10
+	JCS     adamUpdate
 	VDIVPD  Y10, Y1, Y1        // m/c1
+
+adamUpdate:
 	VMULPD  Y1, Y8, Y1         // lr·(m/c1)
 	VDIVPD  Y11, Y2, Y2        // v/c2
 	VSQRTPD Y2, Y2

@@ -57,6 +57,7 @@ type Network struct {
 	opts   Options
 	name   string
 	limits config.Limits
+	grid   config.Grid // limits' snap levels, for every decode
 	layers []*dense
 	ready  bool
 }
@@ -75,6 +76,7 @@ func New(limits config.Limits, opts Options) *Network {
 		opts:   opts,
 		name:   fmt.Sprintf("Deep.%d", opts.Hidden),
 		limits: limits,
+		grid:   config.NewGrid(limits),
 		layers: []*dense{
 			newDense(in, h, rng),
 			newDense(h, h, rng),
@@ -97,7 +99,7 @@ func (n *Network) Hidden() int { return n.opts.Hidden }
 func (n *Network) Predict(f feature.Vector) config.M {
 	var v [config.NumVariables]float64
 	n.forwardInto(f[:], v[:])
-	return config.FromNormalized(v, n.limits).Snapped(n.limits)
+	return n.grid.Snap(config.FromNormalized(v, n.limits))
 }
 
 // PredictChecked implements predict.Checked: unlike Predict, it inspects
@@ -115,59 +117,45 @@ func (n *Network) PredictChecked(f feature.Vector) (config.M, error) {
 			return config.M{}, fmt.Errorf("nn: non-finite output %v at M%d", x, i+1)
 		}
 	}
-	return config.FromNormalized(v, n.limits).Snapped(n.limits), nil
+	return n.grid.Snap(config.FromNormalized(v, n.limits)), nil
 }
 
-// PredictBatchChecked implements predict.BatchPredictor: one pass over
-// pooled activation matrices answers every row at once. Per row it
-// performs exactly the operations PredictChecked performs — same layer
-// order, same inner-loop accumulation order — so every dst[i] is
-// bit-identical to PredictChecked(feats[i]); the conformance fastpath
-// suite and TestPredictBatchMatchesSingle hold it to that. Any row with
-// a non-finite raw output fails the whole batch (the caller re-derives
-// per item through the fallback chain, which is where partial-failure
-// policy lives).
+// PredictBatchChecked implements predict.BatchPredictor: rows go
+// through the network two at a time, each weight load serving both
+// (applyInto2), and an odd last row alone. Per row it performs exactly
+// the operations PredictChecked performs — same layer order, same
+// inner-loop accumulation order — so every dst[i] is bit-identical to
+// PredictChecked(feats[i]); the conformance fastpath suite and
+// TestPredictBatchMatchesSingle hold it to that. Any row with a
+// non-finite raw output fails the whole batch (the caller re-derives per
+// item through the fallback chain, which is where partial-failure policy
+// lives).
 func (n *Network) PredictBatchChecked(feats []feature.Vector, dst []config.M) error {
 	if !n.ready {
 		return errors.New("nn: predict before Train")
 	}
 	rows := len(feats)
-	if rows == 0 {
-		return nil
-	}
 	if len(dst) < rows {
 		return fmt.Errorf("nn: dst holds %d rows, batch has %d", len(dst), rows)
 	}
-	w := n.maxWidth()
 	sc := scratchPool.Get().(*scratch)
-	sc.grow(rows * w)
-	cur, prev := sc.a, sc.b
-	last := len(n.layers) - 1
-	for li, l := range n.layers {
-		relu := li < last
-		for r := 0; r < rows; r++ {
-			in := feats[r][:]
-			if li > 0 {
-				in = prev[r*w : r*w+n.layers[li-1].out]
-			}
-			l.applyInto(in, cur[r*w:r*w+l.out], relu)
+	defer scratchPool.Put(sc)
+	for r := 0; r < rows; r += 2 {
+		var v [2][config.NumVariables]float64
+		if r+1 < rows {
+			n.forwardRows(sc, feats[r][:], feats[r+1][:], v[0][:], v[1][:])
+		} else {
+			n.forwardRows(sc, feats[r][:], nil, v[0][:], nil)
 		}
-		cur, prev = prev, cur
-	}
-	outW := n.layers[last].out
-	for r := 0; r < rows; r++ {
-		out := prev[r*w : r*w+outW]
-		for j, x := range out {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				scratchPool.Put(sc)
-				return fmt.Errorf("nn: non-finite output %v at row %d M%d", x, r, j+1)
+		for k := 0; k < 2 && r+k < rows; k++ {
+			for j, x := range v[k] {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					return fmt.Errorf("nn: non-finite output %v at row %d M%d", x, r+k, j+1)
+				}
 			}
+			dst[r+k] = n.grid.Snap(config.FromNormalized(v[k], n.limits))
 		}
-		var v [config.NumVariables]float64
-		copy(v[:], out)
-		dst[r] = config.FromNormalized(v, n.limits).Snapped(n.limits)
 	}
-	scratchPool.Put(sc)
 	return nil
 }
 
@@ -192,12 +180,23 @@ func (n *Network) M1Margin(f feature.Vector) float64 {
 // mini-batch runs in phases over a workspace allocated once per call
 // (see trainer), so the allocations do not grow with epochs or samples,
 // and every weight, bias and Adam moment is bit-identical to training
-// one sample at a time.
+// one sample at a time. The phases' chunks run on up to trainWorkers
+// goroutines, the caller's among them; Train returns after its helpers
+// have exited, and the trained bits do not depend on how many there
+// were.
 func (n *Network) Train(samples []predict.Sample) error {
 	if len(samples) == 0 {
 		return errors.New("nn: no training samples")
 	}
-	t := newTrainer(n, samples)
+	n.train(samples, trainWorkers())
+	return nil
+}
+
+// train is Train on at most workers goroutines.
+func (n *Network) train(samples []predict.Sample, workers int) {
+	t := newTrainer(n, samples, workers)
+	t.crew.start(len(t.lives) - 1)
+	defer t.crew.stop()
 	rng := rand.New(rand.NewSource(n.opts.Seed + 7))
 	idx := make([]int, len(samples))
 	for i := range idx {
@@ -206,13 +205,10 @@ func (n *Network) Train(samples []predict.Sample) error {
 	for epoch := 0; epoch < n.opts.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += n.opts.BatchSize {
-			end := min(start+n.opts.BatchSize, len(idx))
-			t.gradients(idx[start:end])
-			t.adamStep()
+			t.step(idx[start:min(start+n.opts.BatchSize, len(idx))])
 		}
 	}
 	n.ready = true
-	return nil
 }
 
 // Loss returns the mean squared error over a sample set; training
@@ -281,27 +277,37 @@ func (n *Network) maxWidth() int {
 // (the serving layer answers misses, and derives explain detail, on many
 // request goroutines at once). Training is the only mutating phase; a
 // Network must not be trained while serving. Training runs the same
-// kernel (applyInto), so every activation it learns from is the one
-// inference computes: pooling and packed lanes must never change a
-// prediction bit.
+// kernels (applyInto and applyInto2), so every activation it learns from
+// is the one inference computes: pooling, pairing and packed lanes must
+// never change a prediction bit.
 func (n *Network) forwardInto(in []float64, out []float64) {
 	sc := scratchPool.Get().(*scratch)
-	sc.grow(n.maxWidth())
-	cur := sc.a
-	alt := sc.b
+	n.forwardRows(sc, in, nil, out, nil)
+	scratchPool.Put(sc)
+}
+
+// forwardRows is the inference pass over sc's activation rows for the
+// row in0, or for the rows in0 and in1 through applyInto2 when in1 is
+// not nil, writing the output layer's activations into out0 and out1.
+func (n *Network) forwardRows(sc *scratch, in0, in1, out0, out1 []float64) {
+	w := n.maxWidth()
+	sc.grow(2 * w)
+	cur, alt := sc.a, sc.b
 	last := len(n.layers) - 1
-	src := in
 	for i, l := range n.layers {
+		dst0, dst1 := cur[:l.out], cur[w:w+l.out]
 		if i == last {
-			l.applyInto(src, out[:l.out], false)
-			break
+			dst0, dst1 = out0, out1
 		}
-		dst := cur[:l.out]
-		l.applyInto(src, dst, true)
-		src = dst
+		if in1 == nil {
+			l.applyInto(in0, dst0, i < last)
+		} else {
+			l.applyInto2(in0, in1, dst0, dst1, i < last)
+			in1 = dst1
+		}
+		in0 = dst0
 		cur, alt = alt, cur
 	}
-	scratchPool.Put(sc)
 }
 
 // dense is one fully connected layer with Adam state.
@@ -345,15 +351,16 @@ func newDense(in, out int, rng *rand.Rand) *dense {
 	for i := range d.wtOff {
 		d.wtOff[i] = i * out
 	}
-	d.transpose()
+	d.transpose(0, out)
 	return d
 }
 
-// transpose refreshes wt from w, four rows of w at a time, so each
-// store fills four adjacent elements of a wt row.
-func (d *dense) transpose() {
-	o := 0
-	for ; o+4 <= d.out; o += 4 {
+// transpose refreshes wt's columns [lo, hi) from rows [lo, hi) of w,
+// four rows of w at a time, so each store fills four adjacent elements
+// of a wt row.
+func (d *dense) transpose(lo, hi int) {
+	o := lo
+	for ; o+4 <= hi; o += 4 {
 		w0 := d.w[o*d.in:][:d.in]
 		w1 := d.w[(o+1)*d.in:][:d.in]
 		w2 := d.w[(o+2)*d.in:][:d.in]
@@ -363,7 +370,7 @@ func (d *dense) transpose() {
 			t[0], t[1], t[2], t[3] = w0[i], w1[i], w2[i], w3[i]
 		}
 	}
-	for ; o < d.out; o++ {
+	for ; o < hi; o++ {
 		for i, x := range d.w[o*d.in:][:d.in] {
 			d.wt[i*d.out+o] = x
 		}
@@ -379,6 +386,21 @@ func (d *dense) transpose() {
 func (d *dense) applyInto(in, out []float64, relu bool) {
 	out = out[:d.out]
 	mulAdd(out, d.b, d.wt, d.wtOff, in[:d.in])
+	d.activate(out, relu)
+}
+
+// applyInto2 is applyInto for two rows at once, through mulAdd2: each
+// run of wt is loaded once for both rows' sums, and each sum is the one
+// applyInto computes.
+func (d *dense) applyInto2(in0, in1, out0, out1 []float64, relu bool) {
+	out0, out1 = out0[:d.out], out1[:d.out]
+	mulAdd2(out0, out1, d.b, d.wt, d.wtOff, in0[:d.in], in1[:d.in])
+	d.activate(out0, relu)
+	d.activate(out1, relu)
+}
+
+// activate applies ReLU, or the output layer's sigmoid, to sums in place.
+func (d *dense) activate(out []float64, relu bool) {
 	if relu {
 		applyReLU(out)
 		return

@@ -3,7 +3,9 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"heteromap/internal/config"
 	"heteromap/internal/feature"
@@ -196,8 +198,15 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		return sum
 	}
 
-	tr := newTrainer(n, batch)
-	tr.gradients([]int{0, 1, 2})
+	// Phase 1 over a pair and a lone row, then the gradient sums of
+	// phase 2 without its Adam step.
+	tr := newTrainer(n, batch, 1)
+	tr.batch = []int{0, 1, 2}
+	tr.rows(0, 0)
+	tr.rows(1, 0)
+	for li, l := range n.layers {
+		l.gradRows(tr.acts[li], tr.deltas[li], len(tr.batch), 0, l.out, &tr.lives[0])
+	}
 
 	mixed := false
 	for li, l := range n.layers[:2] {
@@ -220,13 +229,13 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		for i := range p {
 			orig := p[i]
 			p[i] = orig + eps
-			n.layers[li].transpose()
+			n.layers[li].transpose(0, n.layers[li].out)
 			up := loss()
 			p[i] = orig - eps
-			n.layers[li].transpose()
+			n.layers[li].transpose(0, n.layers[li].out)
 			down := loss()
 			p[i] = orig
-			n.layers[li].transpose()
+			n.layers[li].transpose(0, n.layers[li].out)
 			numeric := (up - down) / (2 * eps)
 			if math.Abs(numeric-grad[i]) > 1e-4*(1+math.Abs(numeric)) {
 				t.Fatalf("layer %d %s %d: numeric %v analytic %v", li, what, i, numeric, grad[i])
@@ -263,5 +272,38 @@ func TestWiderNetworksFitBetter(t *testing.T) {
 	l16, l128 := lossFor(16), lossFor(128)
 	if l128 >= l16 {
 		t.Fatalf("Deep.128 training loss %v not below Deep.16 %v", l128, l16)
+	}
+}
+
+// Train returns only after its helpers have exited: at GOMAXPROCS 4 no
+// goroutine it started is left, whether it chose its worker count or
+// was given four. At GOMAXPROCS 1 it starts none.
+func TestTrainLeavesNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if w := trainWorkers(); w != 1 {
+		t.Fatalf("trainWorkers at GOMAXPROCS 1 = %d, want 1", w)
+	}
+	samples := syntheticSamples(200, 9)
+	if got := len(newTrainer(New(limits(), Options{Hidden: 16}), samples, trainWorkers()).lives); got != 1 {
+		t.Fatalf("a trainer at GOMAXPROCS 1 has %d workers, want 1", got)
+	}
+	runtime.GOMAXPROCS(4)
+	before := runtime.NumGoroutine()
+	n := New(limits(), Options{Hidden: 16, Epochs: 3, Seed: 2})
+	if err := n.Train(samples); err != nil {
+		t.Fatal(err)
+	}
+	New(limits(), Options{Hidden: 16, Epochs: 3, Seed: 2}).train(samples, 4)
+	// A helper has signalled its exit before it is gone, so the count
+	// may lag by an instant; it must reach the baseline without another
+	// Train.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Train, %d before:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		runtime.Gosched()
 	}
 }

@@ -14,17 +14,25 @@ const (
 	adamEps      = 1e-8
 )
 
-// trainer is the workspace of one Train call. A mini-batch runs in four
-// phases over it, on the caller's goroutine:
+// outBlock is the width of a training chunk's block of output units.
+const outBlock = 16
+
+// trainer is the workspace of one Train call. A mini-batch runs in two
+// phases over it, each a list of chunks that the calling goroutine and
+// its helpers claim one at a time (crew):
 //
-//  1. forward: every row through applyInto, keeping each layer's
-//     activations;
-//  2. backward: each row's deltas, from the output layer down;
-//  3. gradients: each weight row summed over the batch's rows;
-//  4. Adam: one step per parameter.
+//  1. rows: chunk i takes batch rows 2i and 2i+1 forward through every
+//     layer, two rows per weight load (applyInto2), keeping each layer's
+//     activations, and then computes each row's deltas from the output
+//     layer down. An odd last row goes alone;
+//  2. outputs: a chunk is a block of up to outBlock output units of one
+//     layer. It sums their weight rows over the batch (gradRows), takes
+//     one Adam step on their weights and biases, and refreshes their
+//     columns of wt.
 //
-// Every sum keeps the operand order and addition order of training one
-// sample at a time, so the trained bits equal the per-sample trainer's
+// Each sum is computed whole by one goroutine and keeps the operand
+// order and addition order of training one sample at a time, so the
+// trained bits equal the per-sample trainer's at any worker count
 // (TestTrainMatchesReference).
 type trainer struct {
 	n       *Network
@@ -36,8 +44,24 @@ type trainer struct {
 	// pre-activations. Each is row-major, one row per batch row, sized
 	// for the largest batch.
 	acts, deltas [][]float64
-	live         liveList
+	// lives holds each worker's term buffers.
+	lives []liveList
+	// blocks lists phase 2's chunks, the last layer's first: its chunks
+	// are the largest, and the small first-layer chunks even out the
+	// workers' finishing times.
+	blocks []block
+	// c1 and c2 are each layer's Adam bias corrections for the current
+	// step, set before phase 2.
+	c1, c2 []float64
+
+	crew crew
+	// rowsFn and outputsFn are the phases' chunk functions, bound once
+	// so that a step allocates no method value.
+	rowsFn, outputsFn func(chunk, worker int)
 }
+
+// block is output units [lo, hi) of layer layer.
+type block struct{ layer, lo, hi int }
 
 // liveList is mulAdd's term buffers for backprop and gradRows: the
 // src offsets and values of the non-zero deltas a sum adds.
@@ -47,14 +71,17 @@ type liveList struct {
 }
 
 // newTrainer sizes the workspace for mini-batches of n's BatchSize drawn
-// from samples.
-func newTrainer(n *Network, samples []predict.Sample) *trainer {
+// from samples, run on up to workers goroutines: no more than the most
+// chunks a phase has.
+func newTrainer(n *Network, samples []predict.Sample, workers int) *trainer {
 	rows := min(n.opts.BatchSize, len(samples))
 	t := &trainer{
 		n:       n,
 		samples: samples,
 		acts:    make([][]float64, len(n.layers)+1),
 		deltas:  make([][]float64, len(n.layers)),
+		c1:      make([]float64, len(n.layers)),
+		c2:      make([]float64, len(n.layers)),
 	}
 	t.acts[0] = make([]float64, rows*n.layers[0].in)
 	size := rows
@@ -63,59 +90,89 @@ func newTrainer(n *Network, samples []predict.Sample) *trainer {
 		t.deltas[i] = make([]float64, rows*l.out)
 		size = max(size, l.out)
 	}
-	t.live = liveList{
-		at: make([]int, size),
-		g:  make([]float64, size),
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		for lo := 0; lo < n.layers[i].out; lo += outBlock {
+			t.blocks = append(t.blocks, block{i, lo, min(lo+outBlock, n.layers[i].out)})
+		}
 	}
+	t.lives = make([]liveList, max(1, min(workers, max((rows+1)/2, len(t.blocks)))))
+	for i := range t.lives {
+		t.lives[i] = liveList{at: make([]int, size), g: make([]float64, size)}
+	}
+	t.rowsFn, t.outputsFn = t.rows, t.outputs
 	return t
 }
 
-// gradients runs phases 1–3 for the mini-batch of samples[batch[r]],
-// leaving each layer's gw and gb holding the batch's summed gradients of
-// half the squared error. It does not step the weights.
-func (t *trainer) gradients(batch []int) {
+// step trains on one mini-batch of samples[batch[r]]: phase 1, the
+// layers' Adam step counts and corrections, then phase 2.
+func (t *trainer) step(batch []int) {
 	t.batch = batch
-	for r := range batch {
-		t.forward(r)
-		t.backward(r)
-	}
+	t.crew.run((len(batch)+1)/2, t.rowsFn)
 	for i, l := range t.n.layers {
-		l.gradRows(t.acts[i], t.deltas[i], len(batch), &t.live)
-	}
-}
-
-// adamStep runs phase 4: one Adam step per parameter on the gradients
-// averaged over the current mini-batch.
-func (t *trainer) adamStep() {
-	lr, batch := learningRate, float64(len(t.batch))
-	for _, l := range t.n.layers {
 		l.t++
-		c1 := 1 - math.Pow(adamBeta1, l.t)
-		c2 := 1 - math.Pow(adamBeta2, l.t)
-		adam(l.w, l.gw, l.mw, l.vw, lr, batch, c1, c2)
-		adam(l.b, l.gb, l.mb, l.vb, lr, batch, c1, c2)
-		l.transpose()
+		t.c1[i] = 1 - math.Pow(adamBeta1, l.t)
+		t.c2[i] = 1 - math.Pow(adamBeta2, l.t)
+	}
+	t.crew.run(len(t.blocks), t.outputsFn)
+}
+
+// rows is phase 1's chunk c: batch rows 2c and 2c+1, forward and
+// backward.
+func (t *trainer) rows(c, worker int) {
+	r := 2 * c
+	pair := r+1 < len(t.batch)
+	t.forward(r, pair)
+	t.backward(r, &t.lives[worker])
+	if pair {
+		t.backward(r+1, &t.lives[worker])
 	}
 }
 
-// forward is phase 1 for batch row r: the row's input and every layer's
-// activations, through the inference kernel.
-func (t *trainer) forward(r int) {
+// outputs is phase 2's chunk c: one block's gradients, Adam step and wt
+// columns.
+func (t *trainer) outputs(c, worker int) {
+	b := t.blocks[c]
+	l := t.n.layers[b.layer]
+	l.gradRows(t.acts[b.layer], t.deltas[b.layer], len(t.batch), b.lo, b.hi, &t.lives[worker])
+	lr, batch := learningRate, float64(len(t.batch))
+	c1, c2 := t.c1[b.layer], t.c2[b.layer]
+	lo, hi := b.lo*l.in, b.hi*l.in
+	adam(l.w[lo:hi], l.gw[lo:hi], l.mw[lo:hi], l.vw[lo:hi], lr, batch, c1, c2)
+	adam(l.b[b.lo:b.hi], l.gb[b.lo:b.hi], l.mb[b.lo:b.hi], l.vb[b.lo:b.hi], lr, batch, c1, c2)
+	l.transpose(b.lo, b.hi)
+}
+
+// forward takes batch row r, and row r+1 with it when pair is set, from
+// its sample's features through every layer, keeping each layer's
+// activations. A pair goes through applyInto2, a lone row through
+// applyInto: the kernels inference runs.
+func (t *trainer) forward(r int, pair bool) {
 	in := t.n.layers[0].in
-	x := t.acts[0][r*in : (r+1)*in]
-	copy(x, t.samples[t.batch[r]].Features[:])
+	x0 := t.acts[0][r*in : (r+1)*in]
+	copy(x0, t.samples[t.batch[r]].Features[:])
+	var x1 []float64
+	if pair {
+		x1 = t.acts[0][(r+1)*in : (r+2)*in]
+		copy(x1, t.samples[t.batch[r+1]].Features[:])
+	}
 	last := len(t.n.layers) - 1
 	for i, l := range t.n.layers {
-		out := t.acts[i+1][r*l.out : (r+1)*l.out]
-		l.applyInto(x, out, i < last)
-		x = out
+		out0 := t.acts[i+1][r*l.out : (r+1)*l.out]
+		if pair {
+			out1 := t.acts[i+1][(r+1)*l.out : (r+2)*l.out]
+			l.applyInto2(x0, x1, out0, out1, i < last)
+			x1 = out1
+		} else {
+			l.applyInto(x0, out0, i < last)
+		}
+		x0 = out0
 	}
 }
 
-// backward is phase 2 for batch row r. The output delta of half the
+// backward writes batch row r's deltas. The output delta of half the
 // squared error through the sigmoid is (o-y)·o·(1-o); each hidden
 // layer's delta is the next layer's propagated back through ReLU'.
-func (t *trainer) backward(r int) {
+func (t *trainer) backward(r int, live *liveList) {
 	last := len(t.n.layers) - 1
 	width := t.n.layers[last].out
 	out := t.acts[last+1][r*width : (r+1)*width]
@@ -127,7 +184,7 @@ func (t *trainer) backward(r int) {
 	for i := last; i > 0; i-- {
 		l := t.n.layers[i]
 		prev := t.deltas[i-1][r*l.in : (r+1)*l.in]
-		l.backprop(delta, t.acts[i][r*l.in:(r+1)*l.in], prev, &t.live)
+		l.backprop(delta, t.acts[i][r*l.in:(r+1)*l.in], prev, live)
 		delta = prev
 	}
 }
@@ -154,13 +211,13 @@ func (d *dense) backprop(delta, act, prev []float64, live *liveList) {
 	maskDead(prev, act)
 }
 
-// gradRows is phase 3 for one layer: gw[o][i] = Σ_r delta[r][o]·x[r][i]
-// and gb[o] = Σ_r delta[r][o] over the batch's rows with a non-zero
-// delta, in row order, each starting from +0 — the order of adding one
-// sample's gradient at a time. The inputs lie along mulAdd's lanes, so
-// each gw element is stored once per batch.
-func (d *dense) gradRows(x, delta []float64, rows int, live *liveList) {
-	for o := 0; o < d.out; o++ {
+// gradRows sums output units [lo, hi)'s gradients over the batch:
+// gw[o][i] = Σ_r delta[r][o]·x[r][i] and gb[o] = Σ_r delta[r][o] over
+// the rows with a non-zero delta, in row order, each starting from +0 —
+// the order of adding one sample's gradient at a time. The inputs lie
+// along mulAdd's lanes, so each gw element is stored once per batch.
+func (d *dense) gradRows(x, delta []float64, rows, lo, hi int, live *liveList) {
+	for o := lo; o < hi; o++ {
 		at, gs, n := live.at[:rows], live.g[:rows], 0
 		for r := range at { // branch-free, as in backprop
 			g := delta[r*d.out+o]

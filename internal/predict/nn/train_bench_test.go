@@ -10,10 +10,11 @@ import (
 // BenchmarkTrainDeep128 times the training that `heteromap serve
 // -predictor deep` and perfbench's batch-deep128 pay at set-up: one full
 // Train of Deep.128 at the default options on the FastConfig database of
-// the primary pair. The database is built before the timer starts.
-// Under -benchtime 1x, go test reports the first -cpu entry from a run
-// made at the last entry's GOMAXPROCS, so -cpu 1,2 times GOMAXPROCS 2
-// twice; time one processor with -cpu 1 alone.
+// the primary pair, 900 Adam steps, on min(GOMAXPROCS, NumCPU)
+// goroutines. The database is built before the timer starts. Under
+// -benchtime 1x, go test reports the first -cpu entry from a run made at
+// the last entry's GOMAXPROCS, so -cpu 1,2 times GOMAXPROCS 2 twice;
+// time each -cpu value in its own invocation.
 func BenchmarkTrainDeep128(b *testing.B) {
 	pair := machine.PrimaryPair()
 	samples := train.BuildDatabase(pair, train.FastConfig()).Samples

@@ -26,6 +26,7 @@ const Order7 = 7
 // "Linear Regression" row; Order7 with interactions is "Multi Regression".
 type Model struct {
 	limits       config.Limits
+	grid         config.Grid // limits' snap levels, for every decode
 	order        int
 	interactions bool
 	ridge        float64
@@ -39,7 +40,7 @@ var _ predict.Trainable = (*Model)(nil)
 
 // NewLinear returns the first-order baseline.
 func NewLinear(limits config.Limits) *Model {
-	return &Model{limits: limits, order: 1, ridge: 1e-6}
+	return &Model{limits: limits, grid: config.NewGrid(limits), order: 1, ridge: 1e-6}
 }
 
 // NewMulti returns the 7th-order multiple non-linear regression with
@@ -47,7 +48,7 @@ func NewLinear(limits config.Limits) *Model {
 // coefficients, which demand more multiplications, increasing
 // complexity" — this is why its Table IV overhead tops the deep models).
 func NewMulti(limits config.Limits) *Model {
-	return &Model{limits: limits, order: Order7, interactions: true, ridge: 1e-3}
+	return &Model{limits: limits, grid: config.NewGrid(limits), order: Order7, interactions: true, ridge: 1e-3}
 }
 
 // NewWithOrder returns a polynomial model of arbitrary order (the
@@ -56,7 +57,7 @@ func NewWithOrder(limits config.Limits, order int, interactions bool) *Model {
 	if order < 1 {
 		order = 1
 	}
-	return &Model{limits: limits, order: order, interactions: interactions, ridge: 1e-4}
+	return &Model{limits: limits, grid: config.NewGrid(limits), order: order, interactions: interactions, ridge: 1e-4}
 }
 
 // Name implements predict.Predictor.
@@ -171,7 +172,7 @@ func (m *Model) Predict(f feature.Vector) config.M {
 			v[j] = sum
 		}
 	}
-	return config.FromNormalized(v, m.limits).Snapped(m.limits)
+	return m.grid.Snap(config.FromNormalized(v, m.limits))
 }
 
 // cholesky factors a symmetric positive-definite matrix (row-major n×n)

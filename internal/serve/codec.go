@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 
@@ -70,7 +71,11 @@ func (d *wireDecoder) batch(batch *BatchRequest) bool {
 			return false
 		}
 		seen = true
-		batch.Requests = []PredictRequest{}
+		// Every item of a canonical body opens a brace, as does the
+		// outer object, so the braces bound the item count; a brace in a
+		// string only over-counts. An item with its comma takes at least
+		// three bytes, which caps the bound at a third of the body.
+		batch.Requests = make([]PredictRequest, 0, max(0, min(bytes.Count(d.b, []byte{'{'})-1, len(d.b)/3)))
 		return d.array(func() bool {
 			batch.Requests = append(batch.Requests, PredictRequest{})
 			return d.request(&batch.Requests[len(batch.Requests)-1])

@@ -273,19 +273,10 @@ func (s *Server) predict(ctx context.Context, reqs []PredictRequest) (resps []Pr
 			}
 		}
 		misses = rest
-		// One row per distinct key; a lone miss needs no map to find it.
 		rows := make([]missRow, 0, len(group))
-		var at map[CacheKey]int
-		if len(group) > 1 {
-			at = make(map[CacheKey]int, len(group))
-		}
+		assignRows(items, group, CacheKey.hash)
 		for _, i := range group {
-			it := &items[i]
-			if it.row, it.repeat = at[it.key]; !it.repeat {
-				it.row = len(rows)
-				if at != nil {
-					at[it.key] = it.row
-				}
+			if it := &items[i]; !it.repeat {
 				rows = append(rows, missRow{feat: it.feat})
 			}
 		}
@@ -307,6 +298,43 @@ func (s *Server) predict(ctx context.Context, reqs []PredictRequest) (resps []Pr
 	}
 	s.finishRequest(&done)
 	return resps, status
+}
+
+// assignRows gives each item of group its miss row: one row per distinct
+// key, numbered in order of first appearance, with repeat set on every
+// later item of a key. An item finds an earlier one by its key's hash,
+// as the cache does, and compares whole keys on a match, so a key that
+// shares another's hash still gets a row of its own. A lone miss needs
+// no index.
+func assignRows(items []batchItem, group []int, hash func(CacheKey) uint64) {
+	if len(group) == 1 {
+		items[group[0]].row, items[group[0]].repeat = 0, false
+		return
+	}
+	first := make(map[uint64]int, len(group)) // a hash's first item
+	rows := 0
+	for g, i := range group {
+		it := &items[i]
+		it.repeat = false
+		h := hash(it.key)
+		if j, ok := first[h]; !ok {
+			first[h] = i
+		} else if items[j].key == it.key {
+			it.row, it.repeat = items[j].row, true
+		} else {
+			// Another key holds the hash: look through the earlier items.
+			for _, j := range group[:g] {
+				if items[j].key == it.key {
+					it.row, it.repeat = items[j].row, true
+					break
+				}
+			}
+		}
+		if !it.repeat {
+			it.row = rows
+			rows++
+		}
+	}
 }
 
 // modelVersionTag renders the "name@vN" label used in traces and events.

@@ -416,3 +416,41 @@ func TestBatcherStopDrains(t *testing.T) {
 		t.Fatalf("Start returned %v after Shutdown", err)
 	}
 }
+
+// assignRows opens one row per distinct key in order of first
+// appearance and marks every later item of a key a repeat, also when
+// distinct keys share a hash: here every key hashes alike, and under the
+// real hash the same group gives the same rows.
+func TestAssignRowsSharedHash(t *testing.T) {
+	key := func(i int) CacheKey { return CacheKey{Model: "m", Version: 1, Feat: testFeature(i).Binary()} }
+	keys := []CacheKey{key(0), key(1), key(0), key(2), key(1), key(1), key(3)}
+	wantRow := []int{0, 1, 0, 2, 1, 1, 3}
+	wantRepeat := []bool{false, false, true, false, true, true, false}
+	for _, h := range []struct {
+		name string
+		hash func(CacheKey) uint64
+	}{
+		{"one hash", func(CacheKey) uint64 { return 7 }},
+		{"CacheKey.hash", CacheKey.hash},
+	} {
+		items := make([]batchItem, len(keys)+1)
+		group := make([]int, len(keys))
+		for g, k := range keys {
+			group[g] = g + 1 // items[0] is outside the group
+			items[g+1].key, items[g+1].row, items[g+1].repeat = k, -1, true
+		}
+		assignRows(items, group, h.hash)
+		for g, i := range group {
+			if items[i].row != wantRow[g] || items[i].repeat != wantRepeat[g] {
+				t.Errorf("%s: item %d got row %d repeat %v, want row %d repeat %v",
+					h.name, g, items[i].row, items[i].repeat, wantRow[g], wantRepeat[g])
+			}
+		}
+		if items[0].row != 0 || items[0].repeat {
+			t.Errorf("%s: an item outside the group was written", h.name)
+		}
+	}
+	if testFeature(0).Binary() == testFeature(1).Binary() {
+		t.Fatal("test keys are not distinct")
+	}
+}

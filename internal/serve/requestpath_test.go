@@ -202,8 +202,8 @@ func TestRequestPathAllocBudget(t *testing.T) {
 	}
 	budget := map[string]float64{
 		"hit":                30,
-		"warm-batch":         35,
-		"half-fresh-deep128": 88,
+		"warm-batch":         30,
+		"half-fresh-deep128": 66,
 	}
 	p := newPathHarness(t)
 	for _, r := range p.requests() {
