@@ -27,7 +27,6 @@ import (
 	"heteromap/internal/sched"
 	"heteromap/internal/stats"
 	"heteromap/internal/train"
-	"heteromap/internal/tune"
 )
 
 var (
@@ -546,12 +545,11 @@ func BenchmarkIdealSweep(b *testing.B) {
 		b.Fatal(err)
 	}
 	pair := machine.PrimaryPair()
-	cands := config.Enumerate(pair.Limits())
+	sweep := train.NewSweep(pair, train.Performance, config.Enumerate(pair.Limits()))
+	costs := make([]machine.Cost, sweep.Len())
 	w := ws[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tune.ExhaustiveSerial(cands, func(m config.M) float64 {
-			return pair.Select(m.Accelerator).Evaluate(w.Job, m).Seconds
-		})
+		sweep.Best(w.Job, costs)
 	}
 }

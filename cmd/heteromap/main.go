@@ -83,7 +83,6 @@ import (
 	"heteromap/internal/sched"
 	"heteromap/internal/serve"
 	"heteromap/internal/train"
-	"heteromap/internal/tune"
 )
 
 func main() {
@@ -320,17 +319,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		limits := pair.Limits()
 		for _, accel := range []config.Accel{config.GPU, config.Multicore} {
 			cands := config.EnumerateFor(accel, limits)
-			scores := tune.EvaluateAll(cands, func(m config.M) float64 {
-				return pair.Select(m.Accelerator).Evaluate(workload.Job, m).Seconds
-			})
-			best := 0
-			for i := range scores {
-				if scores[i] < scores[best] {
-					best = i
-				}
-			}
+			best := train.NewSweep(pair, train.Performance, cands).Best(workload.Job, nil)
 			fmt.Fprintf(stdout, "%-10s best %.6gs with %s (%d candidates)\n",
-				accel, scores[best], cands[best], len(cands))
+				accel, best.Score, best.Best, best.Evals)
 		}
 	}
 	return 0

@@ -195,8 +195,8 @@ func RunOracle(pair machine.Pair, cfg OracleConfig) (OracleReport, error) {
 	}
 
 	// Exhaustive references, one sweep per point, fanned out over a
-	// worker pool (the per-point sweep is serial; see tune).
-	cands := config.Enumerate(limits)
+	// worker pool (the per-point sweep is serial).
+	sweep := train.NewSweep(pair, cfg.Objective, config.Enumerate(limits))
 	refs := make([]tune.Result, len(pts))
 	workers := runtime.GOMAXPROCS(0)
 	if workers > len(pts) {
@@ -209,6 +209,7 @@ func RunOracle(pair machine.Pair, cfg OracleConfig) (OracleReport, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			costs := make([]machine.Cost, sweep.Len())
 			for {
 				mu.Lock()
 				i := next
@@ -217,10 +218,7 @@ func RunOracle(pair machine.Pair, cfg OracleConfig) (OracleReport, error) {
 				if i >= len(pts) {
 					return
 				}
-				job := pts[i].Job
-				refs[i] = tune.ExhaustiveSerial(cands, func(m config.M) float64 {
-					return train.Metric(pair, cfg.Objective, job, m)
-				})
+				refs[i] = sweep.Best(pts[i].Job, costs)
 			}
 		}()
 	}

@@ -25,7 +25,6 @@ import (
 	"heteromap/internal/predict"
 	"heteromap/internal/profile"
 	"heteromap/internal/train"
-	"heteromap/internal/tune"
 )
 
 // Workload is one characterized benchmark-input combination, ready to be
@@ -342,11 +341,8 @@ type Baselines struct {
 // ComputeBaselines exhaustively tunes the workload on each accelerator.
 func ComputeBaselines(pair machine.Pair, w *Workload, obj Objective) Baselines {
 	limits := pair.Limits()
-	eval := func(m config.M) float64 {
-		return train.Metric(pair, obj, w.Job, m)
-	}
-	gpu := tune.Exhaustive(config.EnumerateFor(config.GPU, limits), eval)
-	mc := tune.Exhaustive(config.EnumerateFor(config.Multicore, limits), eval)
+	gpu := train.NewSweep(pair, obj, config.EnumerateFor(config.GPU, limits)).Best(w.Job, nil)
+	mc := train.NewSweep(pair, obj, config.EnumerateFor(config.Multicore, limits)).Best(w.Job, nil)
 
 	gpuRep := pair.GPU.Evaluate(w.Job, gpu.Best)
 	mcRep := pair.Multicore.Evaluate(w.Job, mc.Best)

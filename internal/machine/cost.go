@@ -50,26 +50,102 @@ type Report struct {
 // (empty) profiles.
 const minSeconds = 1e-9
 
+// The model is split in two. The phase loop (loop) prices every phase
+// of the work from the loop knobs alone; finish turns its sums into a
+// Report. Evaluate is finish(loop(m)) for one candidate, and a Sweep
+// runs the same two functions over a candidate list, so the two can
+// never drift apart.
+
+// loopKnobs are the knobs of M that the phase loop, deployedThreads and
+// perThreadStateBytes read. Every other knob enters only through
+// finish's soft-knob factor, so candidates with equal loop knobs share
+// one loop's sums.
+type loopKnobs struct {
+	accel          config.Accel
+	cores          int
+	threadsPerCore int
+	simd           int
+	schedule       config.Schedule
+	chunk          int
+	global         int
+	local          int
+}
+
+// loopKnobsOf returns m's loop knobs.
+func loopKnobsOf(m *config.M) loopKnobs {
+	return loopKnobs{
+		accel:          m.Accelerator,
+		cores:          m.Cores,
+		threadsPerCore: m.ThreadsPerCore,
+		simd:           m.SIMDWidth,
+		schedule:       m.Schedule,
+		chunk:          m.ChunkSize,
+		global:         m.GlobalThreads,
+		local:          m.LocalThreads,
+	}
+}
+
+// loopSums is the busy and exposed time the phase loop leaves for
+// finish's utilization. The loop writes the rest of its output, the
+// Breakdown's time terms and the deployed thread count, into the Report
+// that finish completes.
+type loopSums struct {
+	busy, exposed float64
+}
+
+// jobTerms are finish's inputs that depend on the job but on no knob:
+// the soft-knob ideals and density, and the streaming chunks on one
+// accelerator. A Sweep computes them once per job.
+type jobTerms struct {
+	ideals      KnobIdeals
+	avgWork     float64
+	skew        float64
+	chunks      int
+	chunkFactor float64
+}
+
+// newJobTerms derives the knob-independent terms of w; chunks are
+// per accelerator and left for the caller.
+func newJobTerms(w *profile.Work) jobTerms {
+	avgWork := phaseAvgWork(w)
+	return jobTerms{ideals: IdealsFor(w, avgWork), avgWork: avgWork, skew: w.Skew}
+}
+
 // Evaluate simulates executing job on the accelerator under configuration
 // m. The M vector is clamped to the accelerator's deployable ranges
 // first, mirroring the paper's ceiling rule.
 func (a *Accel) Evaluate(job Job, m config.M) Report {
-	w := job.Work
-	lim := a.selfLimits()
-	m = m.Clamp(lim)
+	m = m.Clamp(a.selfLimits())
+	k := loopKnobsOf(&m)
+	var rep Report
+	s := a.loop(job.Work, &k, &rep)
+	t := newJobTerms(job.Work)
+	t.chunks, t.chunkFactor = a.chunking(job.FootprintBytes)
+	a.finish(&m, s, &t, &rep)
+	return rep
+}
 
-	threads := a.deployedThreads(m)
+// loop prices every phase of w under the loop knobs k. It sets rep's
+// Threads and the time terms of its Breakdown, and no other field of
+// rep, so a report finished for one candidate still holds the loop's
+// output for the next candidate with equal loop knobs.
+func (a *Accel) loop(w *profile.Work, k *loopKnobs, rep *Report) loopSums {
+	threads := a.deployedThreads(k)
 	freq := a.FreqHz()
-	cost := a.Cost
+	cost := &a.Cost
+	li := a.loadImbalance(k, w.Skew)
+	// Overlap compute and memory: accelerators with enough live
+	// concurrency hide memory latency under compute.
+	overlap := cost.MemOverlap * math.Min(1, float64(threads)/cost.BWSaturationThreads)
 
-	var bd Breakdown
-	var busy, exposed float64
-
-	avgWork := phaseAvgWork(w)
+	var s loopSums
+	rep.Threads = threads
+	bd := &rep.Breakdown
+	*bd = Breakdown{}
 	for i := range w.Phases {
 		p := &w.Phases[i]
 		par := effectiveParallelism(threads, p.ParallelItems)
-		computePar := a.computeParallelism(m, threads, p.ParallelItems)
+		computePar := a.computeParallelism(k, threads, p.ParallelItems)
 
 		// --- dependency chain: inherently serial steps ---
 		tChain := float64(p.ChainLength) * cost.ChainHopCycles / freq
@@ -89,17 +165,16 @@ func (a *Accel) Evaluate(job Job, m config.M) Report {
 			innerLen = float64(p.EdgeOps) / float64(p.VertexOps)
 		}
 		simdFill := math.Min(1, innerLen/16)
-		if a.Kind == KindMulticore && m.SIMDWidth > 1 {
-			simdEff := 1 + float64(m.SIMDWidth-1)*w.Locality*0.5*simdFill
+		if a.Kind == KindMulticore && k.simd > 1 {
+			simdEff := 1 + float64(k.simd-1)*w.Locality*0.5*simdFill
 			cycles /= simdEff
 		}
 		// Warp divergence on irregular phases.
 		if a.Kind == KindGPU && (p.Kind == profile.PushPop || p.Kind == profile.Reduction) {
 			cycles *= cost.DivergencePenalty
 		}
-		li := a.loadImbalance(m, w.Skew)
 		// Dynamic scheduling pays a dispatch cost per chunk.
-		dispatch := scheduleDispatchCycles(m, p.ParallelItems)
+		dispatch := scheduleDispatchCycles(k, p.ParallelItems)
 		tCompute := (cycles*li + dispatch) / (freq * computePar)
 		// Indirect address resolution.
 		tCompute += float64(p.IndirectAccesses) * cost.IndirectCycles / (freq * computePar)
@@ -108,12 +183,12 @@ func (a *Accel) Evaluate(job Job, m config.M) Report {
 		// --- floating point ---
 		tFP := 0.0
 		if p.FPOps > 0 {
-			tFP = float64(p.FPOps) / a.fpThroughput(m, threads, simdFill)
+			tFP = float64(p.FPOps) / a.fpThroughput(k, threads, simdFill)
 		}
 		bd.FP += tFP
 
 		// --- memory hierarchy ---
-		tMem := a.memoryTime(p, w.Locality, threads, m, simdFill)
+		tMem := a.memoryTime(p, w.Locality, threads, k, simdFill)
 
 		// --- queue disciplines ---
 		tPP := 0.0
@@ -136,9 +211,6 @@ func (a *Accel) Evaluate(job Job, m config.M) Report {
 		}
 		bd.Atomics += tAt
 
-		// Overlap compute and memory: accelerators with enough live
-		// concurrency hide memory latency under compute.
-		overlap := cost.MemOverlap * math.Min(1, float64(threads)/cost.BWSaturationThreads)
 		core := tCompute + tFP + tPP
 		memExposed := 0.0
 		if tMem > core {
@@ -148,8 +220,8 @@ func (a *Accel) Evaluate(job Job, m config.M) Report {
 		}
 		bd.Memory += memExposed
 
-		busy += core + tChain*0.25 + tAt*0.5
-		exposed += memExposed + tChain*0.75 + tAt*0.5
+		s.busy += core + tChain*0.25 + tAt*0.5
+		s.exposed += memExposed + tChain*0.75 + tAt*0.5
 	}
 
 	// Global barriers over the whole run: flat kernel-relaunch cost on
@@ -160,16 +232,22 @@ func (a *Accel) Evaluate(job Job, m config.M) Report {
 	}
 	tBar := float64(w.Barriers) * cost.BarrierCycles * barScale / freq
 	bd.Barriers = tBar
-	exposed += tBar
+	s.exposed += tBar
+	return s
+}
 
+// finish completes rep from the phase loop's output: the soft-knob
+// factor, streaming chunks, the time floor, utilization and power.
+func (a *Accel) finish(m *config.M, s loopSums, t *jobTerms, rep *Report) {
+	bd := &rep.Breakdown
 	total := bd.Chain + bd.Compute + bd.FP + bd.Memory + bd.Atomics + bd.Barriers + bd.PushPop
 
 	// Soft-knob penalties (placement, blocktime, scheduling kind, ...).
-	bd.KnobFactor = a.knobFactor(m, w, avgWork)
+	bd.KnobFactor = a.knobFactor(m, t)
 	total *= bd.KnobFactor
 
 	// Streaming chunks when the dataset exceeds accelerator memory.
-	bd.Chunks, bd.ChunkFactor = a.chunking(job.FootprintBytes)
+	bd.Chunks, bd.ChunkFactor = t.chunks, t.chunkFactor
 	total *= bd.ChunkFactor
 
 	if total < minSeconds {
@@ -177,25 +255,21 @@ func (a *Accel) Evaluate(job Job, m config.M) Report {
 	}
 
 	util := 0.0
-	if busy+exposed > 0 {
-		util = busy / (busy + exposed)
+	if s.busy+s.exposed > 0 {
+		util = s.busy / (s.busy + s.exposed)
 	}
 	// GPUs earn utilization credit for latency they actually hide.
 	if a.Kind == KindGPU {
-		hide := math.Min(1, float64(threads)/cost.BWSaturationThreads) * 0.5
+		hide := math.Min(1, float64(rep.Threads)/a.Cost.BWSaturationThreads) * 0.5
 		util = util + (1-util)*hide
 	}
 	util = clamp01(util)
 
-	power := a.power(m, threads, util)
-	return Report{
-		Accel:       a.Name,
-		Seconds:     total,
-		EnergyJ:     power * total,
-		Utilization: util,
-		Threads:     threads,
-		Breakdown:   bd,
-	}
+	power := a.power(m, rep.Threads, util)
+	rep.Accel = a.Name
+	rep.Seconds = total
+	rep.EnergyJ = power * total
+	rep.Utilization = util
 }
 
 // selfLimits builds single-accelerator deployment limits, used to clamp M
@@ -220,9 +294,9 @@ func (a *Accel) selfLimits() config.Limits {
 }
 
 // deployedThreads maps the M vector to the live thread count.
-func (a *Accel) deployedThreads(m config.M) int {
+func (a *Accel) deployedThreads(k *loopKnobs) int {
 	if a.Kind == KindGPU {
-		t := m.GlobalThreads
+		t := k.global
 		if hw := a.HWThreads(); t > hw {
 			t = hw // extra work items queue behind live contexts
 		}
@@ -231,20 +305,20 @@ func (a *Accel) deployedThreads(m config.M) int {
 		}
 		return t
 	}
-	return m.MulticoreThreads()
+	return k.cores * k.threadsPerCore
 }
 
 // computeParallelism is the parallelism that raw ALU throughput scales
 // with: GPUs only have Cores ALUs (extra contexts hide latency, they do
 // not add issue width); multicore hyperthreads share pipelines with
 // diminishing returns.
-func (a *Accel) computeParallelism(m config.M, threads int, items int64) float64 {
+func (a *Accel) computeParallelism(k *loopKnobs, threads int, items int64) float64 {
 	if a.Kind == KindGPU {
 		p := math.Min(float64(threads), float64(a.Cores))
 		return math.Max(1, math.Min(p, float64(maxI64(items, 1))))
 	}
-	cores := float64(m.Cores)
-	ht := 1 + 0.3*float64(m.ThreadsPerCore-1)
+	cores := float64(k.cores)
+	ht := 1 + 0.3*float64(k.threadsPerCore-1)
 	p := cores * ht
 	return math.Max(1, math.Min(p, float64(maxI64(items, 1))))
 }
@@ -257,12 +331,12 @@ func effectiveParallelism(threads int, items int64) float64 {
 // loadImbalance models the skew-induced straggler effect, mitigated by
 // dynamic work distribution (the paper's "dynamic scheduling on
 // read-write shared data ... mitigates contention and data movement").
-func (a *Accel) loadImbalance(m config.M, skew float64) float64 {
+func (a *Accel) loadImbalance(k *loopKnobs, skew float64) float64 {
 	coef := 0.5
 	if a.Kind == KindGPU {
 		coef = 0.35 // per-warp scheduling is static
 	} else {
-		switch m.Schedule {
+		switch k.schedule {
 		case config.ScheduleDynamic:
 			coef = 0.10
 		case config.ScheduleGuided:
@@ -278,16 +352,16 @@ func (a *Accel) loadImbalance(m config.M, skew float64) float64 {
 
 // scheduleDispatchCycles charges dynamic/guided scheduling's per-chunk
 // dispatch overhead.
-func scheduleDispatchCycles(m config.M, items int64) float64 {
-	if m.Accelerator == config.GPU {
+func scheduleDispatchCycles(k *loopKnobs, items int64) float64 {
+	if k.accel == config.GPU {
 		return 0
 	}
-	chunk := float64(m.ChunkSize)
+	chunk := float64(k.chunk)
 	if chunk < 1 {
 		chunk = 1
 	}
 	n := float64(maxI64(items, 1))
-	switch m.Schedule {
+	switch k.schedule {
 	case config.ScheduleDynamic:
 		return n / chunk * 40
 	case config.ScheduleGuided:
@@ -307,7 +381,7 @@ func scheduleDispatchCycles(m config.M, items int64) float64 {
 // reach peak when inner loops are long enough to fill the lanes
 // (simdFill), which is why PR on the sparse road network falls back to
 // the GPU in the paper.
-func (a *Accel) fpThroughput(m config.M, threads int, simdFill float64) float64 {
+func (a *Accel) fpThroughput(k *loopKnobs, threads int, simdFill float64) float64 {
 	peak := (0.7*a.SPTflops + 0.3*a.DPTflops) * 1e12
 	if peak <= 0 {
 		peak = 1e9
@@ -316,8 +390,8 @@ func (a *Accel) fpThroughput(m config.M, threads int, simdFill float64) float64 
 		occ := math.Min(1, float64(threads)/float64(a.Cores*4))
 		return math.Max(peak*occ*0.7, 1e7)
 	}
-	coresFrac := float64(m.Cores) / float64(a.Cores)
-	simdFrac := float64(m.SIMDWidth) / float64(maxI(a.MaxSIMD, 1))
+	coresFrac := float64(k.cores) / float64(a.Cores)
+	simdFrac := float64(k.simd) / float64(maxI(a.MaxSIMD, 1))
 	vecEff := 0.15 + 0.85*simdFrac*simdFill
 	return math.Max(peak*coresFrac*vecEff, 1e7)
 }
@@ -331,8 +405,8 @@ func (a *Accel) fpThroughput(m config.M, threads int, simdFill float64) float64 
 // accesses; GPUs can hide such latencies via thread switching". The
 // oversubscription pressure term produces the U-shaped thread-count
 // curves of Fig 1.
-func (a *Accel) memoryTime(p *profile.Phase, locality float64, threads int, m config.M, simdFill float64) float64 {
-	cost := a.Cost
+func (a *Accel) memoryTime(p *profile.Phase, locality float64, threads int, k *loopKnobs, simdFill float64) float64 {
+	cost := &a.Cost
 	// The reusable resident state is the read-write + local data (rank,
 	// distance, label arrays); the read-only graph structure streams
 	// through without needing residency. A 32 MB coherent Phi cache
@@ -370,10 +444,10 @@ func (a *Accel) memoryTime(p *profile.Phase, locality float64, threads int, m co
 		ceiling = 1
 	}
 	streamEff := cost.BWEffBase + (ceiling-cost.BWEffBase)*locality
-	if a.Kind == KindMulticore && m.SIMDWidth > 1 {
+	if a.Kind == KindMulticore && k.simd > 1 {
 		// Vector gathers widen the request stream, but far less than
 		// their lane count (each lane still misses independently).
-		simdFrac := float64(m.SIMDWidth) / float64(maxI(a.MaxSIMD, 1))
+		simdFrac := float64(k.simd) / float64(maxI(a.MaxSIMD, 1))
 		streamEff = math.Min(ceiling, streamEff*(1+0.25*simdFrac*simdFill))
 	}
 	occupancy := math.Min(1, float64(threads)/cost.BWSaturationThreads)
@@ -411,7 +485,7 @@ func (a *Accel) memoryTime(p *profile.Phase, locality float64, threads int, m co
 	// climb. The effect saturates — real machines degrade tens of
 	// percent at maximum threading (Fig 1), they do not fall off a
 	// cliff.
-	perThread := a.perThreadStateBytes(m)
+	perThread := a.perThreadStateBytes(k)
 	demand := float64(threads) * perThread
 	if over := demand/float64(a.CacheBytes) - 1; over > 0 {
 		pressure := 1 + cost.PressureCoef*over
@@ -427,9 +501,9 @@ func (a *Accel) memoryTime(p *profile.Phase, locality float64, threads int, m co
 // Larger GPU work-groups (M20) pack more threads per core, raising
 // per-core cache pressure — "spawning more threads raises stress on the
 // GPU's already small cache system".
-func (a *Accel) perThreadStateBytes(m config.M) float64 {
+func (a *Accel) perThreadStateBytes(k *loopKnobs) float64 {
 	if a.Kind == KindGPU {
-		groupFrac := float64(m.LocalThreads) / float64(maxI(a.MaxLocalThreads, 1))
+		groupFrac := float64(k.local) / float64(maxI(a.MaxLocalThreads, 1))
 		return 512 + 1536*groupFrac
 	}
 	return 16 << 10
@@ -451,7 +525,7 @@ func atomicContention(p *profile.Phase) float64 {
 
 // power returns the draw in watts for a deployment at the given
 // utilization.
-func (a *Accel) power(m config.M, threads int, util float64) float64 {
+func (a *Accel) power(m *config.M, threads int, util float64) float64 {
 	var coresFrac float64
 	if a.Kind == KindGPU {
 		coresFrac = math.Min(1, float64(threads)/float64(a.HWThreads()))

@@ -69,9 +69,9 @@ func IdealsFor(w *profile.Work, avgWork float64) KnobIdeals {
 }
 
 // knobFactor returns the multiplicative penalty for the soft knobs of m
-// against their profile ideals.
-func (a *Accel) knobFactor(m config.M, w *profile.Work, avgWork float64) float64 {
-	ideals := IdealsFor(w, avgWork)
+// against the job's profile ideals.
+func (a *Accel) knobFactor(m *config.M, t *jobTerms) float64 {
+	ideals, avgWork := &t.ideals, t.avgWork
 	var penalty float64
 
 	if a.Kind == KindGPU {
@@ -137,7 +137,7 @@ func (a *Accel) knobFactor(m config.M, w *profile.Work, avgWork float64) float64
 		if m.WorkStealing {
 			steal = 1
 		}
-		penalty += 0.05 * math.Abs(steal-step(w.Skew, 0.7))
+		penalty += 0.05 * math.Abs(steal-step(t.skew, 0.7))
 	}
 
 	f := 1 + a.Cost.KnobSensitivity*penalty

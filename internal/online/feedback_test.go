@@ -82,7 +82,7 @@ func TestFlushWindowRoundTrip(t *testing.T) {
 	pair := machine.PrimaryPair()
 	m := New(Options{Pair: pair, Model: "tree"})
 	for i := 0; i < 5; i++ {
-		m.Observe(Sample{Key: vecForShard(i).Key(), Features: vecForShard(i), M: m.candidates[0], Model: "tree", Predictor: "DTree"})
+		m.Observe(Sample{Key: vecForShard(i).Key(), Features: vecForShard(i), M: m.probeSet[0], Model: "tree", Predictor: "DTree"})
 	}
 	if got := m.Tick(); got != 5 {
 		t.Fatalf("tick processed %d, want 5", got)

@@ -177,10 +177,13 @@ type cellTruth struct {
 // Manager owns the feedback stream, the drift detector, and the shadow
 // retraining loop for one accelerator pair.
 type Manager struct {
-	opts       Options
-	limits     config.Limits
-	candidates []config.M
-	probeSet   []config.M
+	opts     Options
+	limits   config.Limits
+	probeSet []config.M
+	// sweep prices the full grid for ground truth; probeSweep prices
+	// the probe set.
+	sweep      *train.Sweep
+	probeSweep *train.Sweep
 	ingest     *ingestRing
 	window     *Window
 	drift      *Detector
@@ -215,11 +218,13 @@ func New(opts Options) *Manager {
 	opts = opts.withDefaults()
 	limits := opts.Pair.Limits()
 	cands := config.Enumerate(limits)
+	probeSet := capCandidates(cands, opts.ProbeCap)
 	m := &Manager{
 		opts:       opts,
 		limits:     limits,
-		candidates: cands,
-		probeSet:   capCandidates(cands, opts.ProbeCap),
+		probeSet:   probeSet,
+		sweep:      train.NewSweep(opts.Pair, opts.Objective, cands),
+		probeSweep: train.NewSweep(opts.Pair, opts.Objective, probeSet),
 		ingest:     newIngestRing(DefaultIngestCap, DefaultIngestShards),
 		window:     NewWindow(DefaultWindowSize),
 		drift:      NewDetector(opts.DriftAlpha, opts.DriftThreshold, opts.DriftWindow),
@@ -368,14 +373,8 @@ func synthesizeJob(f feature.Vector) machine.Job {
 // discretized features) and sweeps the candidate grid for the optimum.
 func (m *Manager) groundTruth(f feature.Vector) (machine.Job, config.M, float64) {
 	job := synthesizeJob(f)
-	bestM := m.candidates[0]
-	bestCost := m.realize(job, bestM)
-	for _, c := range m.candidates[1:] {
-		if cost := m.realize(job, c); cost < bestCost {
-			bestCost, bestM = cost, c
-		}
-	}
-	return job, bestM, bestCost
+	best := m.sweep.Best(job, nil)
+	return job, best.Best, best.Score
 }
 
 func (m *Manager) cellLookup(f feature.Vector) (cellTruth, bool) {

@@ -4,7 +4,6 @@ import (
 	"heteromap/internal/config"
 	"heteromap/internal/feature"
 	"heteromap/internal/machine"
-	"heteromap/internal/tune"
 )
 
 // ProbePredictor is the predictor label served predictions carry when
@@ -32,10 +31,7 @@ func (m *Manager) Probe(f feature.Vector) (config.M, float64) {
 		m.probes.Add(1)
 		return truth.bestM, truth.bestCost
 	}
-	job := m.probeJob(f)
-	res := tune.ExhaustiveSerial(m.probeSet, func(c config.M) float64 {
-		return m.realize(job, c)
-	})
+	res := m.probeSweep.Best(m.probeJob(f), nil)
 	m.probes.Add(1)
 	return res.Best, res.Score
 }

@@ -72,6 +72,52 @@ func Metric(pair machine.Pair, objective Objective, job machine.Job, m config.M)
 	return rep.Seconds
 }
 
+// Sweep is the exhaustive search over a fixed candidate list under one
+// objective: machine.Sweep prices every candidate, and the cheapest
+// wins. Its result is tune.ExhaustiveSerial's over Metric, bit for bit,
+// with the earliest of equal costs winning. A Sweep is safe for
+// concurrent use.
+type Sweep struct {
+	cands     []config.M
+	objective Objective
+	prices    *machine.Sweep
+}
+
+// NewSweep prepares cands for pricing on pair under objective.
+func NewSweep(pair machine.Pair, objective Objective, cands []config.M) *Sweep {
+	return &Sweep{cands: cands, objective: objective, prices: machine.NewSweep(pair, cands)}
+}
+
+// Len returns the number of candidates.
+func (s *Sweep) Len() int { return len(s.cands) }
+
+// Best prices job under every candidate and returns the cheapest under
+// the objective. costs receives each candidate's price; a worker passes
+// the same Len()-long slice for every job, and nil allocates one.
+func (s *Sweep) Best(job machine.Job, costs []machine.Cost) tune.Result {
+	if len(s.cands) == 0 {
+		return tune.Result{}
+	}
+	if len(costs) < len(s.cands) {
+		costs = make([]machine.Cost, len(s.cands))
+	}
+	s.prices.Price(job, costs)
+	best, bestCost := 0, s.cost(costs[0])
+	for i := 1; i < len(s.cands); i++ {
+		if c := s.cost(costs[i]); c < bestCost {
+			best, bestCost = i, c
+		}
+	}
+	return tune.Result{Best: s.cands[best], Score: bestCost, Evals: len(s.cands)}
+}
+
+func (s *Sweep) cost(c machine.Cost) float64 {
+	if s.objective == Energy {
+		return c.EnergyJ
+	}
+	return c.Seconds
+}
+
 // BuildDatabase generates cfg.Samples synthetic combinations, finds each
 // one's best M over the coarse sweep grid (grid search matches what the
 // learners can usefully absorb; tune.Ensemble refines further when the
@@ -89,7 +135,7 @@ func BuildDatabase(pair machine.Pair, cfg Config) *DB {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	limits := pair.Limits()
-	candidates := config.Enumerate(limits)
+	sweep := NewSweep(pair, cfg.Objective, config.Enumerate(limits))
 
 	db := &DB{Pair: pair, Limits: limits, Objective: cfg.Objective}
 	db.Samples = make([]predict.Sample, cfg.Samples)
@@ -99,8 +145,9 @@ func BuildDatabase(pair machine.Pair, cfg Config) *DB {
 	var mu sync.Mutex
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
+			costs := make([]machine.Cost, sweep.Len())
 			for {
 				mu.Lock()
 				i := next
@@ -112,15 +159,13 @@ func BuildDatabase(pair machine.Pair, cfg Config) *DB {
 				rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 				combo := Synthesize(RandomB(rng), RandomI(rng), rng)
 				job := machine.Job{Work: combo.Work, FootprintBytes: combo.Footprint}
-				best := tune.ExhaustiveSerial(candidates, func(m config.M) float64 {
-					return Metric(pair, cfg.Objective, job, m)
-				})
+				best := sweep.Best(job, costs)
 				db.Samples[i] = predict.Sample{
 					Features: combo.Features,
 					Target:   best.Best.Normalize(limits),
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return db

@@ -3,19 +3,18 @@
 // configurations, it finds low-cost configurations by exhaustive sweep
 // (the "ideal" baseline that "manually optimizes by running all possible
 // configurations"), random search, hill climbing, or an OpenTuner-style
-// ensemble that mixes the techniques.
+// ensemble that mixes the techniques. An exhaustive sweep over the
+// machine model's cost runs faster through train.Sweep, which returns
+// the same Result.
 package tune
 
 import (
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"heteromap/internal/config"
 )
 
-// EvalFunc scores one configuration; lower is better. Implementations
-// must be safe for concurrent use (the machine model is pure).
+// EvalFunc scores one configuration; lower is better.
 type EvalFunc func(m config.M) float64
 
 // Result is the outcome of a tuning run.
@@ -25,58 +24,9 @@ type Result struct {
 	Evals int
 }
 
-// EvaluateAll scores every candidate concurrently and returns the scores
-// in candidate order.
-func EvaluateAll(cands []config.M, eval EvalFunc) []float64 {
-	scores := make([]float64, len(cands))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(cands) {
-					return
-				}
-				scores[i] = eval(cands[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return scores
-}
-
-// Exhaustive evaluates every candidate and returns the best. Ties resolve
-// to the earliest candidate, keeping sweeps deterministic.
-func Exhaustive(cands []config.M, eval EvalFunc) Result {
-	scores := EvaluateAll(cands, eval)
-	best := 0
-	for i, s := range scores {
-		if s < scores[best] {
-			best = i
-		}
-	}
-	if len(cands) == 0 {
-		return Result{}
-	}
-	return Result{Best: cands[best], Score: scores[best], Evals: len(cands)}
-}
-
-// ExhaustiveSerial is Exhaustive without goroutines, for callers that are
-// already running inside a worker pool.
+// ExhaustiveSerial evaluates every candidate in order and returns the
+// best. Ties resolve to the earliest candidate, keeping sweeps
+// deterministic.
 func ExhaustiveSerial(cands []config.M, eval EvalFunc) Result {
 	if len(cands) == 0 {
 		return Result{}
@@ -99,7 +49,7 @@ func Random(limits config.Limits, n int, seed int64, eval EvalFunc) Result {
 	for i := 0; i < n; i++ {
 		cands = append(cands, randomM(limits, rng))
 	}
-	r := Exhaustive(cands, eval)
+	r := ExhaustiveSerial(cands, eval)
 	r.Evals = n
 	return r
 }
@@ -157,7 +107,7 @@ func HillClimb(limits config.Limits, start config.M, budget int, eval EvalFunc) 
 // training database: seed with the coarse grids, add random exploration,
 // then refine the incumbent with hill climbing.
 func Ensemble(limits config.Limits, seed int64, eval EvalFunc) Result {
-	grid := Exhaustive(config.Enumerate(limits), eval)
+	grid := ExhaustiveSerial(config.Enumerate(limits), eval)
 	rnd := Random(limits, 64, seed, eval)
 	best := grid
 	if rnd.Score < best.Score {
