@@ -3,10 +3,10 @@
 //
 //	hmtrain [-samples 3000] [-seed 42] [-energy] [-pair primary|970|cpu40|970cpu40]
 //
-// It builds the synthetic (B, I) -> best-M database with the autotuner,
-// splits a holdout, trains the regressions and the deep models, and
-// prints per-learner holdout MSE-equivalents and choice accuracies — the
-// offline half of Table IV.
+// It builds the synthetic (B, I) -> best-M database with an exhaustive
+// sweep of the coarse M grid, splits a holdout, trains the regressions,
+// the adaptive library and the deep models, and prints per-learner
+// holdout choice accuracies — the offline half of Table IV.
 package main
 
 import (
@@ -16,11 +16,10 @@ import (
 	"time"
 
 	"heteromap/internal/config"
+	"heteromap/internal/experiments"
 	"heteromap/internal/machine"
 	"heteromap/internal/predict"
-	"heteromap/internal/predict/adaptive"
 	"heteromap/internal/predict/nn"
-	"heteromap/internal/predict/regress"
 	"heteromap/internal/train"
 )
 
@@ -69,17 +68,22 @@ func main() {
 
 	trainSet, holdout := db.Split(0.2, *seed+1)
 	limits := pair.Limits()
-	learners := []predict.Trainable{
-		regress.NewLinear(limits),
-		regress.NewMulti(limits),
-		adaptive.New(limits),
-		nn.New(limits, nn.Options{Hidden: 16}),
-		nn.New(limits, nn.Options{Hidden: 32}),
-		nn.New(limits, nn.Options{Hidden: 64}),
-		nn.New(limits, nn.Options{Hidden: 128}),
-	}
 	fmt.Printf("%-20s %10s %12s %10s\n", "learner", "train(s)", "holdout acc", "params")
-	for _, l := range learners {
+	// Every Table IV row that trains, but the large Deep.128: this run
+	// builds one database.
+	for _, name := range experiments.TableIVLearners() {
+		if name == experiments.LearnerDeep128L {
+			continue
+		}
+		p, err := experiments.NewLearner(name, limits, 0, 0)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		l, ok := p.(predict.Trainable)
+		if !ok {
+			continue
+		}
 		t0 := time.Now()
 		if err := l.Train(trainSet); err != nil {
 			fmt.Fprintf(os.Stderr, "train %s: %v\n", l.Name(), err)

@@ -538,3 +538,40 @@ func TestClusterSLOEndpointAndGauges(t *testing.T) {
 		t.Fatalf("failed batch spent no availability budget: %+v", snap.Objectives[0])
 	}
 }
+
+// A batch the router rejects before routing, malformed or empty, is one
+// answered request for the SLO, and its 4xx counts as available, as on
+// /v1/predict and a node's batch endpoint.
+func TestRouterSLOCountsRejectedBatches(t *testing.T) {
+	lc := startLocalT(t, LocalOptions{Nodes: 1, RouterOptions: func(ro RouterOptions) RouterOptions {
+		ro.SLO = obs.NewSLO(obs.SLOOptions{Availability: 0.99})
+		return ro
+	}})
+	slo := func() obs.SLOObjective {
+		code, body := getText(t, lc.URL()+"/v1/slo")
+		if code != http.StatusOK {
+			t.Fatalf("/v1/slo status %d", code)
+		}
+		var snap obs.SLOSnapshot
+		if err := json.Unmarshal([]byte(body), &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Objectives[0]
+	}
+	before := slo()
+	for _, body := range []string{`{"requests":[`, `{"requests":[]}`} {
+		resp, err := http.Post(lc.URL()+"/v1/predict/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("batch %q: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	after := slo()
+	if after.Requests != before.Requests+2 || after.Violations != before.Violations {
+		t.Fatalf("two rejected batches moved the SLO from %d requests (%d violations) to %d (%d), want +2 requests and no violation",
+			before.Requests, before.Violations, after.Requests, after.Violations)
+	}
+}

@@ -798,21 +798,28 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		rt.errorJSON(w, http.StatusMethodNotAllowed, fmt.Errorf("use POST"))
 		return
 	}
+	start := time.Now()
 	rctx, tr := rt.tracer.StartRequestTrace(r, "route-batch")
 	defer tr.Finish()
+	// A rejected batch is one answered request for the SLO, as on
+	// /v1/predict: a 4xx counts as available.
+	reject := func(status int, err error) {
+		rt.errorJSON(w, status, err)
+		rt.slo.Observe(status < 500, time.Since(start))
+	}
 	raw, err := rt.readBody(w, r)
 	if err != nil {
 		re := err.(*routeError)
-		rt.errorJSON(w, re.status, re.err)
+		reject(re.status, re.err)
 		return
 	}
 	batch, err := serve.DecodeBatchRequest(raw)
 	if err != nil {
-		rt.errorJSON(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		reject(http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if len(batch.Requests) == 0 {
-		rt.errorJSON(w, http.StatusBadRequest, fmt.Errorf("empty batch"))
+		reject(http.StatusBadRequest, fmt.Errorf("empty batch"))
 		return
 	}
 	rt.metrics.Requests.Add(uint64(len(batch.Requests)))
@@ -827,7 +834,6 @@ func (rt *Router) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	// answers its batch's misses in one pass per model snapshot. An item
 	// whose ladder ended in a transport error or a 5xx fails the whole
 	// round trip for the SLO, as one failed item would for a client.
-	start := time.Now()
 	resps := make([]serve.PredictResponse, len(batch.Requests))
 	var serverFailed atomic.Bool
 	var wg sync.WaitGroup

@@ -3,9 +3,10 @@ package config
 import "math"
 
 // This file enumerates discretized sweep spaces over the M vector. The
-// autotuner explores these candidates when building the offline training
-// database, and the "ideal" baseline exhaustively minimizes over them —
-// the paper's "manually optimizes by running all possible configurations".
+// offline search prices every one of these candidates when building the
+// training database, and the "ideal" baseline exhaustively minimizes over
+// them — the paper's "manually optimizes by running all possible
+// configurations".
 
 // DefaultMulticore returns a sensible multicore starting configuration:
 // all cores, all hardware threads, static scheduling — what a user gets

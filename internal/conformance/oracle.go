@@ -2,42 +2,27 @@ package conformance
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"heteromap/internal/config"
+	"heteromap/internal/experiments"
 	"heteromap/internal/machine"
 	"heteromap/internal/predict"
-	"heteromap/internal/predict/adaptive"
-	"heteromap/internal/predict/dtree"
-	"heteromap/internal/predict/nn"
-	"heteromap/internal/predict/regress"
 	"heteromap/internal/train"
-	"heteromap/internal/tune"
-)
-
-// Learner names the oracle reports under — the Table IV rows the paper
-// compares. They match experiments.TableIVLearners for the shared set.
-const (
-	LearnerTree     = "Decision Tree"
-	LearnerLinear   = "Linear Regression"
-	LearnerMulti    = "Multi Regression"
-	LearnerAdaptive = "Adaptive Library"
-	LearnerDeep16   = "Deep.16"
-	LearnerDeep32   = "Deep.32"
-	LearnerDeep64   = "Deep.64"
-	LearnerDeep128  = "Deep.128"
 )
 
 // OracleLearners lists every learner the differential oracle gates, in
-// report order.
+// report order: the Table IV rows but the large Deep.128, whose larger
+// database the oracle does not build.
 func OracleLearners() []string {
-	return []string{
-		LearnerTree, LearnerLinear, LearnerMulti, LearnerAdaptive,
-		LearnerDeep16, LearnerDeep32, LearnerDeep64, LearnerDeep128,
+	var names []string
+	for _, name := range experiments.TableIVLearners() {
+		if name != experiments.LearnerDeep128L {
+			names = append(names, name)
+		}
 	}
+	return names
 }
 
 // OracleConfig sizes one differential-oracle run. The zero value is not
@@ -58,8 +43,6 @@ type OracleConfig struct {
 	// Objective selects the optimization target of both the sweep and
 	// the learners.
 	Objective train.Objective
-	// Learners restricts the run to a subset (nil: OracleLearners()).
-	Learners []string
 }
 
 // ShortOracleConfig is the CI / -short configuration: small grid, three
@@ -149,33 +132,6 @@ func (r OracleReport) String() string {
 	return sb.String()
 }
 
-// newLearner constructs (and trains, where needed) one oracle learner.
-func newLearner(name string, limits config.Limits, db *train.DB, cfg OracleConfig) (predict.Predictor, error) {
-	var trainable predict.Trainable
-	switch name {
-	case LearnerTree:
-		return dtree.New(limits), nil
-	case LearnerLinear:
-		trainable = regress.NewLinear(limits)
-	case LearnerMulti:
-		trainable = regress.NewMulti(limits)
-	case LearnerAdaptive:
-		trainable = adaptive.New(limits)
-	case LearnerDeep16, LearnerDeep32, LearnerDeep64, LearnerDeep128:
-		hidden := map[string]int{
-			LearnerDeep16: 16, LearnerDeep32: 32,
-			LearnerDeep64: 64, LearnerDeep128: 128,
-		}[name]
-		trainable = nn.New(limits, nn.Options{Hidden: hidden, Epochs: cfg.NNEpochs, Seed: cfg.Seed})
-	default:
-		return nil, fmt.Errorf("conformance: unknown learner %q", name)
-	}
-	if err := trainable.Train(db.Samples); err != nil {
-		return nil, fmt.Errorf("conformance: train %s: %w", name, err)
-	}
-	return trainable, nil
-}
-
 // RunOracle executes the differential oracle on an accelerator pair:
 // for every seeded grid point and Table I analog it sweeps the full
 // candidate space exhaustively (the "ideal" baseline that "manually
@@ -194,35 +150,12 @@ func RunOracle(pair machine.Pair, cfg OracleConfig) (OracleReport, error) {
 		return OracleReport{}, fmt.Errorf("conformance: oracle has no evaluation points")
 	}
 
-	// Exhaustive references, one sweep per point, fanned out over a
-	// worker pool (the per-point sweep is serial).
+	// Exhaustive references, one sweep per point.
 	sweep := train.NewSweep(pair, cfg.Objective, config.Enumerate(limits))
-	refs := make([]tune.Result, len(pts))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pts) {
-		workers = len(pts)
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			costs := make([]machine.Cost, sweep.Len())
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(pts) {
-					return
-				}
-				refs[i] = sweep.Best(pts[i].Job, costs)
-			}
-		}()
-	}
-	wg.Wait()
+	refs := make([]train.Result, len(pts))
+	sweep.Each(len(pts), func(i int, costs []machine.Cost) {
+		refs[i] = sweep.Best(pts[i].Job, costs)
+	})
 
 	// One shared training database for every trained learner, exactly
 	// as the experiment harness builds it.
@@ -230,10 +163,6 @@ func RunOracle(pair machine.Pair, cfg OracleConfig) (OracleReport, error) {
 		Samples: cfg.TrainSamples, Seed: cfg.Seed, Objective: cfg.Objective,
 	})
 
-	learners := cfg.Learners
-	if learners == nil {
-		learners = OracleLearners()
-	}
 	rep := OracleReport{
 		SchemaVersion: OracleSchemaVersion,
 		Seed:          cfg.Seed,
@@ -242,33 +171,47 @@ func RunOracle(pair machine.Pair, cfg OracleConfig) (OracleReport, error) {
 		Pair:          pair.Name(),
 		Objective:     cfg.Objective.String(),
 	}
-	for _, name := range learners {
-		p, err := newLearner(name, limits, db, cfg)
+	for _, name := range OracleLearners() {
+		p, err := experiments.NewLearner(name, limits, cfg.NNEpochs, cfg.Seed)
 		if err != nil {
 			return rep, err
 		}
-		var agree, accSum float64
-		gaps := make([]float64, len(pts))
-		for i := range pts {
-			m := p.Predict(pts[i].Features)
-			if m.Accelerator == refs[i].Best.Accelerator {
-				agree++
-			}
-			accSum += config.ChoiceAccuracy(m, refs[i].Best, limits)
-			cost := train.Metric(pair, cfg.Objective, pts[i].Job, m)
-			if refs[i].Score > 0 {
-				gaps[i] = cost/refs[i].Score - 1
+		if trainable, ok := p.(predict.Trainable); ok {
+			if err := trainable.Train(db.Samples); err != nil {
+				return rep, fmt.Errorf("conformance: train %s: %w", name, err)
 			}
 		}
-		rep.Learners = append(rep.Learners, LearnerReport{
-			Learner:        name,
-			Points:         len(pts),
-			AccelAgreement: agree / float64(len(pts)),
-			ChoiceAccuracy: accSum / float64(len(pts)),
-			CostGap:        gapStats(gaps),
-		})
+		rep.Learners = append(rep.Learners, scoreLearner(pair, cfg.Objective, p, pts, refs))
 	}
 	return rep, nil
+}
+
+// scoreLearner scores p's prediction at every point against refs, the
+// points' exhaustive winners: how often it picks the winner's
+// accelerator, how many of the twenty choices it shares, and how much
+// more its choice costs.
+func scoreLearner(pair machine.Pair, obj train.Objective, p predict.Predictor, pts []Point, refs []train.Result) LearnerReport {
+	limits := pair.Limits()
+	var agree, accSum float64
+	gaps := make([]float64, len(pts))
+	for i := range pts {
+		m := p.Predict(pts[i].Features)
+		if m.Accelerator == refs[i].Best.Accelerator {
+			agree++
+		}
+		accSum += config.ChoiceAccuracy(m, refs[i].Best, limits)
+		cost := train.Metric(pair, obj, pts[i].Job, m)
+		if refs[i].Score > 0 {
+			gaps[i] = cost/refs[i].Score - 1
+		}
+	}
+	return LearnerReport{
+		Learner:        p.Name(),
+		Points:         len(pts),
+		AccelAgreement: agree / float64(len(pts)),
+		ChoiceAccuracy: accSum / float64(len(pts)),
+		CostGap:        gapStats(gaps),
+	}
 }
 
 // gapStats summarizes a gap sample (not mutated; sorted copy).

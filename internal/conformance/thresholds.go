@@ -3,6 +3,8 @@ package conformance
 import (
 	"errors"
 	"fmt"
+
+	"heteromap/internal/experiments"
 )
 
 // Threshold is one learner's conformance floor: the oracle run must
@@ -26,24 +28,24 @@ var SeedThresholds = map[string]Threshold{
 	// Recorded: agree 67.8%, choices 73.4%, gapMean 50.4%, gapP95 79.9%.
 	// The tree's mean gap is inflated by a single pathological grid
 	// point (max ~20x); the P50 is 5.4%.
-	LearnerTree: {MinAccelAgreement: 0.60, MinChoiceAccuracy: 0.68, MaxMeanGap: 0.70, MaxP95Gap: 1.20},
+	experiments.LearnerDecisionTree: {MinAccelAgreement: 0.60, MinChoiceAccuracy: 0.68, MaxMeanGap: 0.70, MaxP95Gap: 1.20},
 	// Recorded: 69.5% / 77.2% / 25.3% / 131.7%.
-	LearnerLinear: {MinAccelAgreement: 0.60, MinChoiceAccuracy: 0.70, MaxMeanGap: 0.45, MaxP95Gap: 2.00},
+	experiments.LearnerLinear: {MinAccelAgreement: 0.60, MinChoiceAccuracy: 0.70, MaxMeanGap: 0.45, MaxP95Gap: 2.00},
 	// Recorded: 78.0% / 83.0% / 20.6% / 135.8%.
-	LearnerMulti: {MinAccelAgreement: 0.70, MinChoiceAccuracy: 0.76, MaxMeanGap: 0.40, MaxP95Gap: 2.00},
+	experiments.LearnerMulti: {MinAccelAgreement: 0.70, MinChoiceAccuracy: 0.76, MaxMeanGap: 0.40, MaxP95Gap: 2.00},
 	// Recorded: 35.6% / 75.5% / 66.8% / 134.8% — the adaptive library
 	// is the weak Table IV baseline by design; the gate only pins its
 	// recorded envelope so it cannot silently become the default.
-	LearnerAdaptive: {MinAccelAgreement: 0.28, MinChoiceAccuracy: 0.68, MaxMeanGap: 0.95, MaxP95Gap: 2.00},
+	experiments.LearnerAdaptive: {MinAccelAgreement: 0.28, MinChoiceAccuracy: 0.68, MaxMeanGap: 0.95, MaxP95Gap: 2.00},
 	// Recorded: 76.3% / 73.3% / 140.9% / 239.5% — 16 hidden units
 	// underfit at the short training size; the envelope is loose.
-	LearnerDeep16: {MinAccelAgreement: 0.65, MinChoiceAccuracy: 0.65, MaxMeanGap: 1.90, MaxP95Gap: 3.20},
+	experiments.LearnerDeep16: {MinAccelAgreement: 0.65, MinChoiceAccuracy: 0.65, MaxMeanGap: 1.90, MaxP95Gap: 3.20},
 	// Recorded: 74.6% / 79.0% / 22.1% / 143.6%.
-	LearnerDeep32: {MinAccelAgreement: 0.65, MinChoiceAccuracy: 0.72, MaxMeanGap: 0.45, MaxP95Gap: 2.00},
+	experiments.LearnerDeep32: {MinAccelAgreement: 0.65, MinChoiceAccuracy: 0.72, MaxMeanGap: 0.45, MaxP95Gap: 2.00},
 	// Recorded: 79.7% / 86.1% / 23.9% / 179.4%.
-	LearnerDeep64: {MinAccelAgreement: 0.70, MinChoiceAccuracy: 0.78, MaxMeanGap: 0.45, MaxP95Gap: 2.40},
+	experiments.LearnerDeep64: {MinAccelAgreement: 0.70, MinChoiceAccuracy: 0.78, MaxMeanGap: 0.45, MaxP95Gap: 2.40},
 	// Recorded: 79.7% / 86.0% / 28.1% / 53.8%.
-	LearnerDeep128: {MinAccelAgreement: 0.70, MinChoiceAccuracy: 0.78, MaxMeanGap: 0.50, MaxP95Gap: 1.20},
+	experiments.LearnerDeep128: {MinAccelAgreement: 0.70, MinChoiceAccuracy: 0.78, MaxMeanGap: 0.50, MaxP95Gap: 1.20},
 }
 
 // Gate checks every learner row against its threshold and returns one

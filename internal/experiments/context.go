@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"heteromap/internal/algo"
+	"heteromap/internal/config"
 	"heteromap/internal/core"
 	"heteromap/internal/gen"
 	"heteromap/internal/machine"
@@ -166,6 +167,35 @@ func TableIVLearners() []string {
 	}
 }
 
+// NewLearner returns the untrained predictor behind a Table IV name,
+// whose Name() is that name. epochs and seed reach the deep models'
+// nn.Options, where 0 keeps nn's default. The large Deep.128 row is the
+// Deep.128 network; Context.Learner trains it on a larger database.
+func NewLearner(name string, limits config.Limits, epochs int, seed int64) (predict.Predictor, error) {
+	var hidden int
+	switch name {
+	case LearnerDecisionTree:
+		return dtree.New(limits), nil
+	case LearnerLinear:
+		return regress.NewLinear(limits), nil
+	case LearnerMulti:
+		return regress.NewMulti(limits), nil
+	case LearnerAdaptive:
+		return adaptive.New(limits), nil
+	case LearnerDeep16:
+		hidden = 16
+	case LearnerDeep32:
+		hidden = 32
+	case LearnerDeep64:
+		hidden = 64
+	case LearnerDeep128, LearnerDeep128L:
+		hidden = 128
+	default:
+		return nil, errUnknownLearner(name)
+	}
+	return nn.New(limits, nn.Options{Hidden: hidden, Epochs: epochs, Seed: seed}), nil
+}
+
 // Learner returns (and caches) a trained predictor by Table IV name for a
 // pair and objective. The decision tree needs no training; everything
 // else trains on the cached database.
@@ -178,30 +208,12 @@ func (c *Context) Learner(pair machine.Pair, obj train.Objective, name string) (
 	}
 	c.mu.Unlock()
 
-	limits := pair.Limits()
-	var p predict.Predictor
-	var trainable predict.Trainable
-	switch name {
-	case LearnerDecisionTree:
-		p = dtree.New(limits)
-	case LearnerLinear:
-		trainable = regress.NewLinear(limits)
-	case LearnerMulti:
-		trainable = regress.NewMulti(limits)
-	case LearnerAdaptive:
-		trainable = adaptive.New(limits)
-	case LearnerDeep16, LearnerDeep32, LearnerDeep64, LearnerDeep128, LearnerDeep128L:
-		hidden := map[string]int{
-			LearnerDeep16: 16, LearnerDeep32: 32, LearnerDeep64: 64,
-			LearnerDeep128: 128, LearnerDeep128L: 128,
-		}[name]
-		trainable = nn.New(limits, nn.Options{Hidden: hidden, Epochs: c.NNEpochs})
-	default:
-		return nil, errUnknownLearner(name)
+	p, err := NewLearner(name, pair.Limits(), c.NNEpochs, 0)
+	if err != nil {
+		return nil, err
 	}
-	if trainable != nil {
-		db := c.DB(pair, obj)
-		samples := db.Samples
+	if trainable, ok := p.(predict.Trainable); ok {
+		samples := c.DB(pair, obj).Samples
 		if name == LearnerDeep128L {
 			// The paper's final Table IV row trains the best model on a
 			// larger database; reuse the base database plus an extra
@@ -215,7 +227,6 @@ func (c *Context) Learner(pair machine.Pair, obj train.Objective, name string) (
 		if err := trainable.Train(samples); err != nil {
 			return nil, err
 		}
-		p = trainable
 	}
 	c.mu.Lock()
 	c.learners[key] = p

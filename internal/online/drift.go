@@ -41,8 +41,9 @@ type familyStats struct {
 	signals  uint64
 }
 
-// cellStats accumulates the per-discretized-cell gap picture that the
-// drift metrics and the post-promotion acceptance check read.
+// cellStats accumulates the realized gaps of one discretized feature
+// cell. Snapshots persist them, but the drift metrics read only how many
+// cells there are.
 type cellStats struct {
 	n    uint64
 	sum  float64

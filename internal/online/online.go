@@ -32,7 +32,7 @@
 //
 // The serve-path hook is a thin enqueue into a sharded overwrite-oldest
 // ring (feedback.go); all cost evaluation happens in the background
-// collector. The package depends only on the existing model/train/tune
+// collector. The package depends only on the existing model/train
 // layers and the standard library.
 package online
 

@@ -8,7 +8,6 @@ import (
 	"heteromap/internal/config"
 	"heteromap/internal/machine"
 	"heteromap/internal/predict"
-	"heteromap/internal/tune"
 )
 
 // Objective selects what the offline search (and thus the trained
@@ -39,8 +38,6 @@ type Config struct {
 	Seed int64
 	// Objective selects time or energy minimization.
 	Objective Objective
-	// Workers bounds parallel tuning (default GOMAXPROCS).
-	Workers int
 }
 
 // FastConfig returns a configuration sized for unit tests.
@@ -72,11 +69,19 @@ func Metric(pair machine.Pair, objective Objective, job machine.Job, m config.M)
 	return rep.Seconds
 }
 
+// Result is the outcome of an exhaustive search: the cheapest candidate,
+// its cost under the objective, and how many candidates were priced.
+type Result struct {
+	Best  config.M
+	Score float64
+	Evals int
+}
+
 // Sweep is the exhaustive search over a fixed candidate list under one
 // objective: machine.Sweep prices every candidate, and the cheapest
-// wins. Its result is tune.ExhaustiveSerial's over Metric, bit for bit,
-// with the earliest of equal costs winning. A Sweep is safe for
-// concurrent use.
+// wins. Its result is that of evaluating Metric on each candidate in
+// order, bit for bit, with the earliest of equal costs winning. A Sweep
+// is safe for concurrent use.
 type Sweep struct {
 	cands     []config.M
 	objective Objective
@@ -94,9 +99,9 @@ func (s *Sweep) Len() int { return len(s.cands) }
 // Best prices job under every candidate and returns the cheapest under
 // the objective. costs receives each candidate's price; a worker passes
 // the same Len()-long slice for every job, and nil allocates one.
-func (s *Sweep) Best(job machine.Job, costs []machine.Cost) tune.Result {
+func (s *Sweep) Best(job machine.Job, costs []machine.Cost) Result {
 	if len(s.cands) == 0 {
-		return tune.Result{}
+		return Result{}
 	}
 	if len(costs) < len(s.cands) {
 		costs = make([]machine.Cost, len(s.cands))
@@ -108,7 +113,35 @@ func (s *Sweep) Best(job machine.Job, costs []machine.Cost) tune.Result {
 			best, bestCost = i, c
 		}
 	}
-	return tune.Result{Best: s.cands[best], Score: bestCost, Evals: len(s.cands)}
+	return Result{Best: s.cands[best], Score: bestCost, Evals: len(s.cands)}
+}
+
+// Each calls fn once for every index in [0, n), on min(GOMAXPROCS, n)
+// goroutines that claim the indices in turn, and returns when every call
+// has. Each goroutine hands fn its own Len()-long costs slice to pass to
+// Best.
+func (s *Sweep) Each(n int, fn func(i int, costs []machine.Cost)) {
+	var mu sync.Mutex
+	var next int
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			costs := make([]machine.Cost, len(s.cands))
+			for {
+				mu.Lock()
+				i := next
+				next++
+				mu.Unlock()
+				if i >= n {
+					return
+				}
+				fn(i, costs)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func (s *Sweep) cost(c machine.Cost) float64 {
@@ -120,54 +153,29 @@ func (s *Sweep) cost(c machine.Cost) float64 {
 
 // BuildDatabase generates cfg.Samples synthetic combinations, finds each
 // one's best M over the coarse sweep grid (grid search matches what the
-// learners can usefully absorb; tune.Ensemble refines further when the
-// caller needs the ideal reference), and returns the training database.
+// learners can usefully absorb), and returns the training database.
 //
 // The result is a pure function of (pair, cfg): each sample's RNG is
-// seeded from its index, so cfg.Workers changes only how fast the
+// seeded from its index, so GOMAXPROCS changes only how fast the
 // database builds, never its contents. Tests pin this contract.
 func BuildDatabase(pair machine.Pair, cfg Config) *DB {
 	if cfg.Samples <= 0 {
 		cfg.Samples = DefaultConfig().Samples
-	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	limits := pair.Limits()
 	sweep := NewSweep(pair, cfg.Objective, config.Enumerate(limits))
 
 	db := &DB{Pair: pair, Limits: limits, Objective: cfg.Objective}
 	db.Samples = make([]predict.Sample, cfg.Samples)
-
-	var wg sync.WaitGroup
-	var next int
-	var mu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			costs := make([]machine.Cost, sweep.Len())
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= cfg.Samples {
-					return
-				}
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-				combo := Synthesize(RandomB(rng), RandomI(rng), rng)
-				job := machine.Job{Work: combo.Work, FootprintBytes: combo.Footprint}
-				best := sweep.Best(job, costs)
-				db.Samples[i] = predict.Sample{
-					Features: combo.Features,
-					Target:   best.Best.Normalize(limits),
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	sweep.Each(cfg.Samples, func(i int, costs []machine.Cost) {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
+		combo := Synthesize(RandomB(rng), RandomI(rng), rng)
+		job := machine.Job{Work: combo.Work, FootprintBytes: combo.Footprint}
+		db.Samples[i] = predict.Sample{
+			Features: combo.Features,
+			Target:   sweep.Best(job, costs).Best.Normalize(limits),
+		}
+	})
 	return db
 }
 

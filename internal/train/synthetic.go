@@ -2,8 +2,8 @@
 // it synthesizes benchmark-input combinations over the (B, I) space — the
 // paper's generated micro-benchmarks (Fig 9) running uniform-random and
 // Kronecker graph sweeps (Table III) — finds the best-performing M vector
-// for each combination with the autotuner, and trains the learners on the
-// resulting (B, I) -> M samples.
+// for each combination with an exhaustive sweep of the coarse M grid
+// (Sweep), and trains the learners on the resulting (B, I) -> M samples.
 package train
 
 import (
