@@ -16,7 +16,6 @@ import (
 	"heteromap/internal/algo"
 	"heteromap/internal/config"
 	"heteromap/internal/core"
-	"heteromap/internal/exec"
 	"heteromap/internal/experiments"
 	"heteromap/internal/feature"
 	"heteromap/internal/gen"
@@ -274,25 +273,6 @@ func BenchmarkKernelConnectedComponents(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		algo.ConnectedComponents(g)
-	}
-}
-
-func BenchmarkKernelParallelBFS(b *testing.B) {
-	g := benchGraph(b).Graph
-	src := algo.SourceVertex(g)
-	pool := exec.NewPoolN(4, config.ScheduleDynamic, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec.BFS(pool, g, src)
-	}
-}
-
-func BenchmarkKernelParallelPageRank(b *testing.B) {
-	g := benchGraph(b).Graph
-	pool := exec.NewPoolN(4, config.ScheduleStatic, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exec.PageRank(pool, g, 10)
 	}
 }
 

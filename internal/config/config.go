@@ -143,10 +143,6 @@ func (m M) Clamp(l Limits) M {
 	return m
 }
 
-// MulticoreThreads returns the total multicore thread count implied by M2
-// and M3.
-func (m M) MulticoreThreads() int { return m.Cores * m.ThreadsPerCore }
-
 // Validate reports whether the configuration is sane enough to deploy:
 // every float knob must be finite and the enumerated choices must name
 // real alternatives. Clamp silently repairs out-of-range values (the

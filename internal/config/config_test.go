@@ -116,13 +116,6 @@ func TestNormalizedComponentsInRangeProperty(t *testing.T) {
 	}
 }
 
-func TestMulticoreThreads(t *testing.T) {
-	m := M{Cores: 10, ThreadsPerCore: 4}
-	if m.MulticoreThreads() != 40 {
-		t.Fatal("thread product")
-	}
-}
-
 func TestChoiceAccuracyReflexive(t *testing.T) {
 	l := testLimits()
 	for _, m := range Enumerate(l)[:20] {

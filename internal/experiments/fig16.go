@@ -37,9 +37,9 @@ type Fig16Result struct {
 
 const gb = int64(1) << 30
 
-// Fig16 sweeps attached memory sizes. Streaming chunk counts react to the
-// memory size (internal/stream semantics inside the machine model), so
-// graphs larger than memory benefit directly from bigger memories.
+// Fig16 sweeps attached memory sizes. The machine model's streaming chunk
+// count (Accel.chunking) reacts to the memory size, so graphs larger than
+// memory benefit directly from bigger memories.
 func Fig16(c *Context) (Fig16Result, error) {
 	ws, err := c.Workloads()
 	if err != nil {

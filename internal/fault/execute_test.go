@@ -87,7 +87,7 @@ func TestExecuteFailsOver(t *testing.T) {
 		t.Fatalf("charges GPU=%v MC=%v", res.GPUSeconds, res.MCSeconds)
 	}
 	// The re-targeted M must carry deployable multicore knobs.
-	if res.FinalM.Cores < 1 || res.FinalM.MulticoreThreads() < 1 {
+	if res.FinalM.Cores < 1 || res.FinalM.Cores*res.FinalM.ThreadsPerCore < 1 {
 		t.Fatalf("failover M undeployable: %+v", res.FinalM)
 	}
 }

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -14,6 +13,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	f.Add("0 0\n0 1\n0 1\n")
 	f.Add("5 5 5\n")
+	f.Add("111111110 0") // one line declaring 111M vertices
 	f.Fuzz(func(t *testing.T, input string) {
 		g, err := ReadEdgeList(strings.NewReader(input), "fuzz", 0, true)
 		if err != nil {
@@ -21,31 +21,6 @@ func FuzzReadEdgeList(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("loader produced invalid graph: %v", err)
-		}
-	})
-}
-
-// FuzzReadBinary checks the binary loader rejects arbitrary bytes without
-// panicking, and that anything it accepts validates.
-func FuzzReadBinary(f *testing.F) {
-	// Seed with a genuine serialized graph plus mutations.
-	b := NewBuilder("seed", 4).Weighted()
-	b.Add(0, 1, 1)
-	b.Add(2, 3, 2)
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, b.MustBuild()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("HMG1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("loader accepted invalid graph: %v", err)
 		}
 	})
 }

@@ -2,22 +2,24 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
 
-// This file provides the loaders downstream users need to bring their own
-// graphs: whitespace-separated edge lists (the de-facto interchange format
-// of SNAP / DIMACS-style datasets) and a compact binary CSR format for
-// fast reloads.
+// This file reads and writes whitespace-separated edge lists, the de-facto
+// interchange format of SNAP / DIMACS-style datasets, so downstream users
+// can bring their own graphs.
 
 // ReadEdgeList parses a whitespace-separated edge list: one "src dst
 // [weight]" triple per line, '#' or '%' comment lines ignored. Vertex ids
 // are 0-based; the vertex count is one past the largest id unless a
 // larger minVertices is given. Set undirected to mirror every edge.
+//
+// Building costs about 40 bytes per vertex, so a vertex count above
+// max(minVertices, 1<<20, 8 × edges read) is rejected: one line holding a
+// huge id would otherwise make a few bytes of input allocate gigabytes.
 func ReadEdgeList(r io.Reader, name string, minVertices int, undirected bool) (*Graph, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
@@ -25,6 +27,7 @@ func ReadEdgeList(r io.Reader, name string, minVertices int, undirected bool) (*
 	var edges []Edge
 	weighted := false
 	maxID := int64(-1)
+	maxIDLine := 0
 	lineNo := 0
 	for scanner.Scan() {
 		lineNo++
@@ -55,11 +58,8 @@ func ReadEdgeList(r io.Reader, name string, minVertices int, undirected bool) (*
 			}
 			weighted = true
 		}
-		if src > maxID {
-			maxID = src
-		}
-		if dst > maxID {
-			maxID = dst
+		if id := max(src, dst); id > maxID {
+			maxID, maxIDLine = id, lineNo
 		}
 		edges = append(edges, Edge{Src: int32(src), Dst: int32(dst), Weight: float32(w)})
 	}
@@ -73,11 +73,11 @@ func ReadEdgeList(r io.Reader, name string, minVertices int, undirected bool) (*
 		return nil, fmt.Errorf("graph: %s: empty edge list (%d lines, no edges)", name, lineNo)
 	}
 
-	n := int(maxID + 1)
-	if minVertices > n {
-		n = minVertices
+	if limit := max(minVertices, 1<<20, 8*len(edges)); maxID >= int64(limit) {
+		return nil, fmt.Errorf("graph: line %d: vertex id %d implies %d vertices for %d edges (limit %d)",
+			maxIDLine, maxID, maxID+1, len(edges), limit)
 	}
-	b := NewBuilder(name, n).Dedupe().NoSelfLoops()
+	b := NewBuilder(name, max(int(maxID+1), minVertices)).Dedupe().NoSelfLoops()
 	if weighted {
 		b.Weighted()
 	}
@@ -111,134 +111,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// Binary CSR format:
-//
-//	magic "HMG1" | flags u32 (bit0 weighted, bit1 undirected)
-//	nameLen u32 | name bytes
-//	numVertices u64 | numEdges u64
-//	offsets (numVertices+1) x u64 | edges numEdges x u32
-//	[weights numEdges x f32]
-const binaryMagic = "HMG1"
-
-// WriteBinary serializes the CSR arrays.
-func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var flags uint32
-	if g.Weighted() {
-		flags |= 1
-	}
-	if g.Undirected {
-		flags |= 2
-	}
-	write := func(v any) error { return binary.Write(bw, binary.LittleEndian, v) }
-	if err := write(flags); err != nil {
-		return err
-	}
-	if err := write(uint32(len(g.Name))); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(g.Name); err != nil {
-		return err
-	}
-	if err := write(uint64(g.NumVertices())); err != nil {
-		return err
-	}
-	if err := write(uint64(g.NumEdges())); err != nil {
-		return err
-	}
-	for _, o := range g.Offsets {
-		if err := write(uint64(o)); err != nil {
-			return err
-		}
-	}
-	for _, e := range g.Edges {
-		if err := write(uint32(e)); err != nil {
-			return err
-		}
-	}
-	if g.Weighted() {
-		for _, wt := range g.Weights {
-			if err := write(wt); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary and validates it.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	read := func(v any) error { return binary.Read(br, binary.LittleEndian, v) }
-	var flags, nameLen uint32
-	if err := read(&flags); err != nil {
-		return nil, err
-	}
-	if err := read(&nameLen); err != nil {
-		return nil, err
-	}
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("graph: implausible name length %d", nameLen)
-	}
-	nameBytes := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBytes); err != nil {
-		return nil, err
-	}
-	var nv, ne uint64
-	if err := read(&nv); err != nil {
-		return nil, err
-	}
-	if err := read(&ne); err != nil {
-		return nil, err
-	}
-	// Cap sizes so a corrupted or hostile header cannot trigger a
-	// multi-gigabyte allocation before the arrays fail to parse.
-	const maxPlausible = 1 << 28
-	if nv > maxPlausible || ne > maxPlausible {
-		return nil, fmt.Errorf("graph: implausible sizes V=%d E=%d", nv, ne)
-	}
-	g := &Graph{
-		Name:       string(nameBytes),
-		Offsets:    make([]int64, nv+1),
-		Edges:      make([]int32, ne),
-		Undirected: flags&2 != 0,
-	}
-	for i := range g.Offsets {
-		var o uint64
-		if err := read(&o); err != nil {
-			return nil, err
-		}
-		g.Offsets[i] = int64(o)
-	}
-	for i := range g.Edges {
-		var e uint32
-		if err := read(&e); err != nil {
-			return nil, err
-		}
-		g.Edges[i] = int32(e)
-	}
-	if flags&1 != 0 {
-		g.Weights = make([]float32, ne)
-		for i := range g.Weights {
-			if err := read(&g.Weights[i]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
 }

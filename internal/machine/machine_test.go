@@ -75,6 +75,36 @@ func TestWithMemoryClamps(t *testing.T) {
 	}
 }
 
+// Exact multiples of the memory size must not round a chunk in or out:
+// an off-by-one here inflates or hides the streaming penalty.
+func TestChunkingBoundaries(t *testing.T) {
+	const mem = int64(2) << 30 // the GTX-750Ti's memory
+	a := GTX750Ti().WithMemory(mem)
+	for _, tc := range []struct {
+		footprint int64
+		want      int
+	}{
+		{0, 1},
+		{-10, 1},
+		{mem / 2, 1},
+		{mem, 1},         // exactly fits
+		{mem + 1, 2},     // one byte over
+		{2 * mem, 2},     // exact double
+		{2*mem + 1, 3},   // just past double
+		{10*mem - 1, 10}, // just under 10x
+		{10 * mem, 10},   // exact 10x
+		{10*mem + 1, 11},
+	} {
+		chunks, factor := a.chunking(tc.footprint)
+		if chunks != tc.want {
+			t.Errorf("chunking(%d) = %d chunks, want %d", tc.footprint, chunks, tc.want)
+		}
+		if want := 1 + a.Cost.ChunkPenalty*float64(tc.want-1); factor != want {
+			t.Errorf("chunking(%d) factor = %v, want %v", tc.footprint, factor, want)
+		}
+	}
+}
+
 func TestEvaluateBasicSanity(t *testing.T) {
 	job := Job{Work: testWork()}
 	for _, a := range []*Accel{GTX750Ti(), GTX970(), XeonPhi7120P(), CPU40()} {

@@ -29,7 +29,6 @@ var leText = func() []string {
 // the final implicit bucket is +Inf.
 type Histogram struct {
 	counts []atomic.Uint64 // len(latencyBuckets)+1
-	total  atomic.Uint64
 	sumNS  atomic.Uint64
 
 	// exemplar remembers the most recent traced observation, linking the
@@ -52,7 +51,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	sec := d.Seconds()
 	i := sort.SearchFloat64s(latencyBuckets, sec)
 	h.counts[i].Add(1)
-	h.total.Add(1)
 	h.sumNS.Add(uint64(d.Nanoseconds()))
 }
 
@@ -66,7 +64,13 @@ func (h *Histogram) ObserveTraced(d time.Duration, traceID string) {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the total observed duration across all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNS.Load()) }
@@ -87,18 +91,20 @@ func (h *Histogram) Buckets() []Bucket {
 }
 
 // Histogram appends h's cumulative buckets, sum and count under the
-// given labels. When h holds an exemplar, an untyped <name>_exemplar
+// given labels; the count is the +Inf bucket of the same read, so the two
+// always agree. When h holds an exemplar, an untyped <name>_exemplar
 // series with a trace_id label follows, because text format 0.0.4 has
 // no exemplar syntax.
 func (f *Family) Histogram(h *Histogram, labels ...Label) {
 	with := func(l Label) []Label { return append(labels[:len(labels):len(labels)], l) }
 	bucket := f.Name + "_bucket"
-	for i, b := range h.Buckets() {
+	buckets := h.Buckets()
+	for i, b := range buckets {
 		f.Samples = append(f.Samples, Sample{Name: bucket, Labels: with(Label{"le", leText[i]}), Value: b.Count, Int: true})
 	}
 	f.Samples = append(f.Samples,
 		Sample{Name: f.Name + "_sum", Labels: labels, Value: float64(h.sumNS.Load()) / 1e9},
-		Sample{Name: f.Name + "_count", Labels: labels, Value: float64(h.total.Load()), Int: true})
+		Sample{Name: f.Name + "_count", Labels: labels, Value: buckets[len(buckets)-1].Count, Int: true})
 	if ex := h.exemplar.Load(); ex != nil {
 		f.Samples = append(f.Samples, Sample{Name: f.Name + "_exemplar", Labels: with(Label{"trace_id", ex.traceID}), Value: ex.seconds})
 	}

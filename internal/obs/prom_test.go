@@ -3,6 +3,7 @@ package obs
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -30,6 +31,49 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	p99 := BucketQuantile(0.99, h.Buckets())
 	if p99 < 0.05 || p99 > 0.1 {
 		t.Fatalf("p99 = %g, want in [50ms, 100ms]", p99)
+	}
+}
+
+// A scrape's _count is its own +Inf bucket, even while observations land
+// between the bucket reads.
+func TestHistogramCountMatchesInfBucketUnderObserve(t *testing.T) {
+	h := NewHistogram()
+	stop := make(chan struct{})
+	var started, done sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			h.Observe(time.Millisecond)
+			started.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Observe(time.Duration(g+1) * time.Millisecond)
+				}
+			}
+		}()
+	}
+	defer func() { close(stop); done.Wait() }()
+	started.Wait()
+	for i := 0; i < 2000; i++ {
+		f := Family{Name: "x_seconds"}
+		f.Histogram(h)
+		var inf, count float64
+		for _, s := range f.Samples {
+			switch {
+			case s.Name == "x_seconds_count":
+				count = s.Value
+			case s.Name == "x_seconds_bucket" && s.Labels[0].Value == "+Inf":
+				inf = s.Value
+			}
+		}
+		if count != inf {
+			t.Fatalf("scrape %d: _count %v, le=\"+Inf\" bucket %v", i, count, inf)
+		}
 	}
 }
 
