@@ -75,26 +75,21 @@ func TestWithMemoryClamps(t *testing.T) {
 	}
 }
 
-// Exact multiples of the memory size must not round a chunk in or out:
-// an off-by-one here inflates or hides the streaming penalty.
-func TestChunkingBoundaries(t *testing.T) {
-	const mem = int64(2) << 30 // the GTX-750Ti's memory
-	a := GTX750Ti().WithMemory(mem)
-	for _, tc := range []struct {
-		footprint int64
-		want      int
-	}{
-		{0, 1},
-		{-10, 1},
-		{mem / 2, 1},
-		{mem, 1},         // exactly fits
-		{mem + 1, 2},     // one byte over
-		{2 * mem, 2},     // exact double
-		{2*mem + 1, 3},   // just past double
-		{10*mem - 1, 10}, // just under 10x
-		{10 * mem, 10},   // exact 10x
-		{10*mem + 1, 11},
-	} {
+// chunkingMem is the GTX-750Ti's memory, the size the chunking rows
+// below are written against.
+const chunkingMem = int64(2) << 30
+
+type chunkingRow struct {
+	footprint int64
+	want      int
+}
+
+// checkChunking asserts each row's chunk count and the multiplier
+// 1 + ChunkPenalty*(chunks-1) that Evaluate charges for it.
+func checkChunking(t *testing.T, rows []chunkingRow) {
+	t.Helper()
+	a := GTX750Ti().WithMemory(chunkingMem)
+	for _, tc := range rows {
 		chunks, factor := a.chunking(tc.footprint)
 		if chunks != tc.want {
 			t.Errorf("chunking(%d) = %d chunks, want %d", tc.footprint, chunks, tc.want)
@@ -103,6 +98,35 @@ func TestChunkingBoundaries(t *testing.T) {
 			t.Errorf("chunking(%d) factor = %v, want %v", tc.footprint, factor, want)
 		}
 	}
+}
+
+// A footprint that fits, or is not positive, takes one chunk; past that
+// the count is the footprint over the memory size, rounded up.
+func TestChunking(t *testing.T) {
+	const mem = chunkingMem
+	checkChunking(t, []chunkingRow{
+		{0, 1},
+		{-10, 1},
+		{mem / 2, 1},
+		{mem, 1},
+		{mem + 1, 2},
+		{10 * mem, 10},
+		{10*mem + 1, 11},
+	})
+}
+
+// Exact multiples of the memory size must not round a chunk in or out:
+// an off-by-one here inflates or hides the streaming penalty.
+func TestChunkingExactBoundary(t *testing.T) {
+	const mem = chunkingMem
+	checkChunking(t, []chunkingRow{
+		{mem, 1},         // exactly fits
+		{mem + 1, 2},     // one byte over
+		{2 * mem, 2},     // exact double
+		{2*mem + 1, 3},   // just past double
+		{10*mem - 1, 10}, // just under 10x
+		{10 * mem, 10},   // exact 10x
+	})
 }
 
 func TestEvaluateBasicSanity(t *testing.T) {
